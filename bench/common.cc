@@ -10,7 +10,6 @@
 #include "src/eel/editor.hh"
 #include "src/obs/log.hh"
 #include "src/obs/trace.hh"
-#include "src/qpt/profiler.hh"
 #include "src/sim/shard.hh"
 #include "src/sim/timing.hh"
 #include "src/support/logging.hh"
@@ -50,9 +49,7 @@ parseArgs(int argc, char **argv)
             // key if the caller didn't pick an interval.
             if (!opts.shardInterval)
                 opts.shardInterval = 64 * 1024;
-        } else if (a == "--batch")
-            opts.batch = true;
-        else if (a == "--trace") {
+        } else if (a == "--trace") {
             opts.tracePath = value();
             obs::enableTracing();
             obs::setThreadName("main");
@@ -64,8 +61,7 @@ parseArgs(int argc, char **argv)
             std::printf("options: --machine <name> --scale <x> "
                         "--resched-first --only <benchmark> "
                         "--jobs <n> --shard-interval <insts> "
-                        "--result-cache <dir> "
-                        "--batch --trace <out.json> "
+                        "--result-cache <dir> --trace <out.json> "
                         "--json <out.json> --breakdown <out.txt>\n");
             std::exit(0);
         } else {
@@ -156,16 +152,16 @@ runBenchmark(const TableOptions &opts, size_t index,
         machine::MachineModel::builtin(
             opts.schedMachine.empty() ? opts.machine
                                       : opts.schedMachine);
-    edit::EditOptions sched_opts;
-    sched_opts.schedule = true;
-    sched_opts.model = &sched_model;
-    sched_opts.sched = opts.sched;
-    sched_opts.pool = pool;
 
     // Table 2 protocol: reschedule first, measure against that.
     exe::Executable base = original;
     double base_ratio = 1.0;
     if (opts.rescheduleFirst) {
+        edit::EditOptions sched_opts;
+        sched_opts.schedule = true;
+        sched_opts.model = &sched_model;
+        sched_opts.sched = opts.sched;
+        sched_opts.pool = pool;
         auto routines0 = edit::buildRoutines(original);
         base = edit::rewrite(original, routines0,
                              edit::InstrumentationPlan{}, sched_opts);
@@ -174,36 +170,22 @@ runBenchmark(const TableOptions &opts, size_t index,
         base_ratio = double(r_base.cycles) / double(r_orig.cycles);
     }
 
-    // Slot-fill audit over the scheduled (instrumented) rewrite only
-    // — the Table 2 baseline reschedule above deliberately runs
-    // without it. Atomic sink: per-routine scheduling may fan out
-    // across the pool.
+    // The instrumented and scheduled images come from one
+    // edit::BatchRewriter analysis pass (COW-shared sections). The
+    // slot-fill audit covers its scheduled rewrite only — the Table 2
+    // baseline reschedule above deliberately runs without it. Atomic
+    // sink: per-routine scheduling may fan out across the pool.
     obs::SlotFillAudit audit;
-    sched_opts.sched.audit = &audit;
-
-    std::vector<edit::Routine> routines;
-    exe::Executable instrumented, scheduled;
-    if (opts.batch) {
-        edit::BatchOptions bopts;
-        bopts.model = &sched_model;
-        bopts.sched = opts.sched;
-        bopts.sched.audit = &audit;
-        bopts.pool = pool;
-        edit::BatchRewriter rw(base, bopts);
-        edit::BatchResult batch = rw.rewriteAll(
-            {edit::VariantKind::SlowProfile, edit::VariantKind::Sched});
-        routines = std::move(batch.routines);
-        instrumented = std::move(batch.variants[0].image);
-        scheduled = std::move(batch.variants[1].image);
-    } else {
-        routines = edit::buildRoutines(base);
-        exe::Executable work = base;
-        qpt::ProfilePlan plan = qpt::makePlan(work, routines);
-        instrumented = edit::rewrite(work, routines, plan.plan,
-                                     edit::EditOptions{});
-        scheduled = edit::rewrite(work, routines, plan.plan,
-                                  sched_opts);
-    }
+    edit::BatchOptions bopts;
+    bopts.model = &sched_model;
+    bopts.sched = opts.sched;
+    bopts.sched.audit = &audit;
+    bopts.pool = pool;
+    edit::BatchRewriter rw(base, bopts);
+    edit::BatchResult batch = rw.rewriteAll(
+        {edit::VariantKind::SlowProfile, edit::VariantKind::Sched});
+    const exe::Executable &instrumented = batch.variants[0].image;
+    const exe::Executable &scheduled = batch.variants[1].image;
 
     auto r_base = timed(base);
     auto r_inst = timed(instrumented);
@@ -216,7 +198,7 @@ runBenchmark(const TableOptions &opts, size_t index,
     Row row;
     row.name = spec.name;
     row.fp = spec.fp;
-    row.avgBlockSize = measureAvgBlock(base, routines);
+    row.avgBlockSize = measureAvgBlock(base, batch.routines);
     row.uninstSec = r_base.seconds;
     row.uninstRatioToOriginal = base_ratio;
     row.instSec = r_inst.seconds;

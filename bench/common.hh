@@ -101,13 +101,6 @@ struct TableOptions
      *  resultCacheDir (embedding callers; not a CLI flag). */
     sim::ResultCache *cache = nullptr;
     /**
-     * Stamp the instrumented and scheduled images through
-     * edit::BatchRewriter (one shared analysis pass, COW-shared
-     * sections) instead of two independent rewrites. The images are
-     * byte-identical either way, so rows don't change.
-     */
-    bool batch = false;
-    /**
      * Observability outputs (all optional). --trace enables span
      * collection for the whole run and writes a Chrome trace_event
      * JSON (load into Perfetto / chrome://tracing); --json mirrors

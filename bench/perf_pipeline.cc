@@ -265,9 +265,9 @@ main(int argc, char **argv)
 
     // --- Incremental re-simulation through the content-addressed
     // result cache: a cold sharded run populates it, an identical
-    // re-run must come back from the run tier at >= 5x (the claim
+    // re-run must come back from its whole-run entry at >= 5x (the claim
     // the subsystem exists for), and a one-byte edit to a text page
-    // must re-simulate through the shard tier and still be
+    // must re-simulate through the shard entries and still be
     // field-identical to a fresh cold run of the edited image. Both
     // are hard gates; the speedup and hit rate are published, but
     // not added to the +/-25% baseline band (warm wall time is

@@ -2,9 +2,7 @@
  * @file
  * Leveled logging with an environment override: EEL_LOG=debug (or
  * info/warn/error/silent) sets the threshold below which messages
- * are dropped. support/logging.hh's inform()/warn() are thin shims
- * over logf(Info)/logf(Warn), so every existing status line gains
- * the filter for free; new code calls logf() directly.
+ * are dropped. Every status line in the tree goes through logf().
  *
  * Deliberately dependency-free (no src/support include) so the obs
  * library sits below everything else in the link order.

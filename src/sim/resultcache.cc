@@ -144,18 +144,14 @@ struct Enc
             u64(x);
     }
     void
-    v32(const std::vector<uint32_t> &v)
-    {
-        u64(v.size());
-        for (uint32_t x : v)
-            u32(x);
-    }
-    void
     v16(const std::vector<int16_t> &v)
     {
         u64(v.size());
-        for (int16_t x : v)
-            u32(static_cast<uint16_t>(x));
+        for (int16_t x : v) {
+            const uint16_t w = static_cast<uint16_t>(x);
+            const uint8_t b[2] = {uint8_t(w), uint8_t(w >> 8)};
+            raw(b, 2);
+        }
     }
 };
 
@@ -250,31 +246,19 @@ struct Dec
             x = u64();
         return v;
     }
-    std::vector<uint32_t>
-    v32()
-    {
-        uint64_t n = u64();
-        if (!ok || n > size_t(e - p) / 4) {
-            ok = false;
-            return {};
-        }
-        std::vector<uint32_t> v(n);
-        for (auto &x : v)
-            x = u32();
-        return v;
-    }
     std::vector<int16_t>
     v16()
     {
         uint64_t n = u64();
-        if (!ok || n > size_t(e - p) / 4) {
+        if (!ok || n > size_t(e - p) / 2) {
             ok = false;
             return {};
         }
         std::vector<int16_t> v(n);
-        for (auto &x : v)
-            x = static_cast<int16_t>(
-                static_cast<uint16_t>(u32()));
+        for (auto &x : v) {
+            x = static_cast<int16_t>(uint16_t(p[0] | p[1] << 8));
+            p += 2;
+        }
         return v;
     }
     bool done() const { return ok && p == e; }
@@ -338,7 +322,7 @@ putDelta(Enc &o, const MemDelta &m)
     }
 }
 
-bool
+void
 getDelta(Dec &d, MemDelta &m)
 {
     uint32_t n = d.u32();
@@ -351,25 +335,6 @@ getDelta(Dec &d, MemDelta &m)
             d.ok = false;
         m.pages.push_back(std::move(pg));
     }
-    return d.ok;
-}
-
-void
-putResult(Enc &o, const RunResult &r)
-{
-    o.u64(r.instructions);
-    o.i32(r.exitCode);
-    o.ub(r.exited);
-    o.blob(r.output);
-}
-
-void
-getResult(Dec &d, RunResult &r)
-{
-    r.instructions = d.u64();
-    r.exitCode = d.i32();
-    r.exited = d.ub();
-    r.output = d.blob();
 }
 
 void
@@ -398,6 +363,143 @@ getPairs(Dec &d)
     return v;
 }
 
+/** An end state as deltas vs the pristine images (a full
+ *  ArchSnapshot carries the whole 1 MiB stack); absent unless the
+ *  snapshot has memory. */
+void
+putArch(Enc &o, const Emulator::ArchSnapshot &s, const exe::Executable &x)
+{
+    const bool present = !s.dataMem.empty() || !s.stackMem.empty();
+    o.ub(present);
+    if (!present)
+        return;
+    for (uint32_t r : s.intRegs)
+        o.u32(r);
+    for (uint32_t r : s.fpRegs)
+        o.u32(r);
+    o.u32(s.icc);
+    o.u32(s.fcc);
+    o.u32(s.y);
+    putDelta(o, MemDelta::diff(initialDataImage(x), s.dataMem));
+    putDelta(o, MemDelta::diff(
+                    std::vector<uint8_t>(s.stackMem.size(), 0),
+                    s.stackMem));
+}
+
+/** Registers into s, memory deltas into data/stack; false (and s
+ *  empty) when the end state is absent. */
+bool
+getArch(Dec &d, Emulator::ArchSnapshot &s, MemDelta &data,
+        MemDelta &stack)
+{
+    s = {};
+    if (!d.ub())
+        return false;
+    for (uint32_t &r : s.intRegs)
+        r = d.u32();
+    for (uint32_t &r : s.fpRegs)
+        r = d.u32();
+    s.icc = d.u32();
+    s.fcc = d.u32();
+    s.y = d.u32();
+    getDelta(d, data);
+    getDelta(d, stack);
+    return true;
+}
+
+/** Whether every page of m lies inside mem (apply() would fatal). */
+bool
+fits(const MemDelta &m, const std::vector<uint8_t> &mem)
+{
+    return std::all_of(m.pages.begin(), m.pages.end(),
+                       [&](const MemDelta::Page &pg) {
+                           return pg.offset + pg.bytes.size() <=
+                                  mem.size();
+                       });
+}
+
+/** A record body: what every entry stores under (key, manifest). */
+void
+putRecord(Enc &o, const ResultCache::Record &r, const exe::Executable &x)
+{
+    o.u64(r.cycles);
+    o.u64(r.insts);
+    o.v64(r.hist);
+    putBreakdown(o, r.breakdown);
+    o.u64(r.stallCycles);
+    o.u64(r.blocks);
+    // perWord sparse: its size, then (word index, count) pairs.
+    o.u64(r.perWord.size());
+    o.u64(r.perWord.size() - std::count(r.perWord.begin(),
+                                        r.perWord.end(), 0));
+    for (uint32_t w = 0; w < r.perWord.size(); ++w)
+        if (r.perWord[w]) {
+            o.u32(w);
+            o.u64(r.perWord[w]);
+        }
+    o.blob(r.output);
+    putArch(o, r.endState, x);
+    o.v64(r.startKey);
+    o.v64(r.endKey);
+    putTiming(o, r.endTiming);
+    o.i32(r.exitCode);
+    o.ub(r.exited);
+    o.u64(r.shards);
+    o.u64(r.resims);
+}
+
+/**
+ * Decode a record body; false on any malformed or trailing byte.
+ * With x null it only checks the body (the disk loader); otherwise
+ * perWord is expanded and endState rebuilt against x's pristine
+ * images, the stack sized by ecfg.
+ */
+bool
+getRecord(Dec &d, ResultCache::Record &r, const exe::Executable *x,
+          const Emulator::Config *ecfg)
+{
+    r.cycles = d.u64();
+    r.insts = d.u64();
+    r.hist = d.v64();
+    getBreakdown(d, r.breakdown);
+    r.stallCycles = d.u64();
+    r.blocks = d.u64();
+    const uint64_t words = d.u64();
+    const auto perWordNz = getPairs(d);
+    r.output = d.blob();
+    MemDelta data, stack;
+    const bool present = getArch(d, r.endState, data, stack);
+    r.startKey = d.v64();
+    r.endKey = d.v64();
+    getTiming(d, r.endTiming);
+    r.exitCode = d.i32();
+    r.exited = d.ub();
+    r.shards = d.u64();
+    r.resims = d.u64();
+    if (!d.done())
+        return false;
+    for (const auto &[w, n] : perWordNz)
+        if (w >= words)
+            return false;
+    if (!x)
+        return true;
+    if (words > x->text.size())
+        return false;
+    r.perWord.assign(words, 0);
+    for (const auto &[w, n] : perWordNz)
+        r.perWord[w] = n;
+    if (present) {
+        r.endState.dataMem = initialDataImage(*x);
+        r.endState.stackMem.assign(ecfg->stackBytes, 0);
+        if (!fits(data, r.endState.dataMem) ||
+            !fits(stack, r.endState.stackMem))
+            return false;
+        data.apply(r.endState.dataMem);
+        stack.apply(r.endState.stackMem);
+    }
+    return true;
+}
+
 std::string
 hex(uint64_t v)
 {
@@ -409,27 +511,8 @@ hex(uint64_t v)
 }
 
 constexpr char kMagic[6] = {'E', 'E', 'L', 'R', 'C', '1'};
-constexpr uint8_t kKindShard = 0;
-constexpr uint8_t kKindRun = 1;
-constexpr uint8_t kKindTimed = 2;
 
 } // namespace
-
-void
-ResultCache::noteHit(bool fromDisk, uint64_t Stats::*tier)
-{
-    static obs::Metric mHits("rescache.hits",
-                             obs::MetricKind::Counter);
-    static obs::Metric mDisk("rescache.disk_hits",
-                             obs::MetricKind::Counter);
-    ++st.hits;
-    ++(st.*tier);
-    mHits.add();
-    if (fromDisk) {
-        ++st.diskHits;
-        mDisk.add();
-    }
-}
 
 uint64_t
 ResultCache::pageHash(const exe::ChunkPtr &c) const
@@ -551,7 +634,6 @@ ResultCache::imageKey(const exe::Executable &x,
 
     ImageKey k;
     k.base = h.key();
-    k.leader = blockLeader != nullptr;
 
     // Text identity extends the base into the whole-image run key;
     // shard keys see text only through their touched-page manifests.
@@ -608,158 +690,53 @@ ResultCache::shardKeyHandoff(const ImageKey &k, const Checkpoint *cp,
 }
 
 ResultCache::Key
-ResultCache::timedKey(const exe::Executable &x,
-                      const machine::MachineModel &model,
-                      const TimingSim::Config &tcfg,
-                      const Emulator::Config &ecfg)
+ResultCache::serialRunKey(const ImageKey &k) const
 {
     H2 h;
-    h.u64(3);  // flavor: whole serial timed run
-    hashFingerprint(h, model, tcfg, ecfg, 0, 0);
-    h.u64(x.entry);
-    h.u64(x.bssBytes);
-    h.u64(x.data.size());
-    for (const exe::ChunkPtr &c : x.data.chunkRefs())
-        h.u64(pageHash(c));
-    h.u64(x.text.size());
-    for (const exe::ChunkPtr &c : x.text.chunkRefs())
-        h.u64(pageHash(c));
+    h.u64(k.run.a);
+    h.u64(k.run.b);
+    h.u64(3);  // flavor: whole serial timedRun
     return h.key();
 }
 
 // ----------------------------------------------------------------
-// Arch state <-> delta form.
-
-ResultCache::ArchDelta
-ResultCache::deltaArch(const Emulator::ArchSnapshot &s,
-                       const exe::Executable &x)
-{
-    ArchDelta d;
-    if (s.dataMem.empty() && s.stackMem.empty())
-        return d;  // absent (not the last shard)
-    d.present = true;
-    std::copy(std::begin(s.intRegs), std::end(s.intRegs),
-              std::begin(d.intRegs));
-    std::copy(std::begin(s.fpRegs), std::end(s.fpRegs),
-              std::begin(d.fpRegs));
-    d.icc = s.icc;
-    d.fcc = s.fcc;
-    d.y = s.y;
-    d.dataDelta = MemDelta::diff(initialDataImage(x), s.dataMem);
-    d.stackDelta = MemDelta::diff(
-        std::vector<uint8_t>(s.stackMem.size(), 0), s.stackMem);
-    return d;
-}
-
-Emulator::ArchSnapshot
-ResultCache::rebuildArch(const ArchDelta &d, const exe::Executable &x,
-                         const Emulator::Config &ecfg)
-{
-    Emulator::ArchSnapshot s;
-    if (!d.present)
-        return s;
-    std::copy(std::begin(d.intRegs), std::end(d.intRegs),
-              std::begin(s.intRegs));
-    std::copy(std::begin(d.fpRegs), std::end(d.fpRegs),
-              std::begin(s.fpRegs));
-    s.icc = d.icc;
-    s.fcc = d.fcc;
-    s.y = d.y;
-    s.dataMem = initialDataImage(x);
-    d.dataDelta.apply(s.dataMem);
-    s.stackMem.assign(ecfg.stackBytes, 0);
-    d.stackDelta.apply(s.stackMem);
-    return s;
-}
-
-// ----------------------------------------------------------------
-// Entry payloads (shared by the disk tier).
-
-namespace {
-
-void
-putArch(Enc &o, const ResultCache::ArchDelta &d)
-{
-    o.ub(d.present);
-    if (!d.present)
-        return;
-    for (uint32_t r : d.intRegs)
-        o.u32(r);
-    for (uint32_t r : d.fpRegs)
-        o.u32(r);
-    o.u32(d.icc);
-    o.u32(d.fcc);
-    o.u32(d.y);
-    putDelta(o, d.dataDelta);
-    putDelta(o, d.stackDelta);
-}
-
-void
-getArch(Dec &d, ResultCache::ArchDelta &a)
-{
-    a.present = d.ub();
-    if (!a.present)
-        return;
-    for (uint32_t &r : a.intRegs)
-        r = d.u32();
-    for (uint32_t &r : a.fpRegs)
-        r = d.u32();
-    a.icc = d.u32();
-    a.fcc = d.u32();
-    a.y = d.u32();
-    getDelta(d, a.dataDelta);
-    getDelta(d, a.stackDelta);
-}
-
-} // namespace
-
-// ----------------------------------------------------------------
-// Tier operations.
+// Lookup and store.
 
 bool
-ResultCache::lookupShard(const ImageKey &k, const Key &sk,
-                         const exe::Executable &x,
-                         const Emulator::Config &ecfg,
-                         ShardValue &out)
+ResultCache::lookup(const ImageKey &k, const Key &key,
+                    const exe::Executable &x,
+                    const Emulator::Config &ecfg, Record &out)
 {
+    static obs::Metric mHits("rescache.hits",
+                             obs::MetricKind::Counter);
+    static obs::Metric mDisk("rescache.disk_hits",
+                             obs::MetricKind::Counter);
     static obs::Metric mMisses("rescache.misses",
                                obs::MetricKind::Counter);
     static obs::Metric mInval("rescache.invalidations",
                               obs::MetricKind::Counter);
     std::lock_guard<std::mutex> lock(mu);
     ++st.lookups;
-    auto it = shardTier.find(sk);
-    if (it != shardTier.end()) {
-        for (const ShardEntry &e : it->second) {
-            bool match = true;
-            for (const auto &[idx, ph] : e.manifest)
-                if (idx >= k.textPageHash.size() ||
-                    k.textPageHash[idx] != ph) {
-                    match = false;
-                    break;
-                }
-            if (!match)
+    auto it = entries.find(key);
+    if (it != entries.end()) {
+        for (const Candidate &c : it->second) {
+            bool match = std::all_of(
+                c.manifest.begin(), c.manifest.end(),
+                [&](const auto &page) {
+                    return page.first < k.textPageHash.size() &&
+                           k.textPageHash[page.first] == page.second;
+                });
+            Record r;
+            Dec d(c.body);
+            if (!match || !getRecord(d, r, &x, &ecfg))
                 continue;
-            const StoredShard &v = e.value;
-            out.cycles = v.cycles;
-            out.insts = v.insts;
-            out.hist = v.hist;
-            out.breakdown = v.breakdown;
-            out.stallCycles = v.stallCycles;
-            out.blocks = v.blocks;
-            out.perWord.clear();
-            if (k.leader) {
-                out.perWord.assign(v.perWordSize, 0);
-                for (const auto &[w, n] : v.perWordNz)
-                    if (w < out.perWord.size())
-                        out.perWord[w] = n;
+            out = std::move(r);
+            ++st.hits;
+            mHits.add();
+            if (c.fromDisk) {
+                ++st.diskHits;
+                mDisk.add();
             }
-            out.output = v.output;
-            out.endState = rebuildArch(v.endState, x, ecfg);
-            out.startKey = v.startKey;
-            out.endKey = v.endKey;
-            out.endTiming = v.endTiming;
-            noteHit(e.fromDisk, &Stats::shardHits);
             return true;
         }
         // Candidates existed but an executed page's content changed:
@@ -773,191 +750,39 @@ ResultCache::lookupShard(const ImageKey &k, const Key &sk,
 }
 
 void
-ResultCache::storeShard(const ImageKey &k, const Key &sk,
-                        const std::vector<uint32_t> &touchedPages,
-                        const ShardValue &v, const exe::Executable &x)
+ResultCache::store(const ImageKey &k, const Key &key,
+                   const std::vector<uint32_t> &touchedPages,
+                   const Record &r, const exe::Executable &x)
 {
-    ShardEntry e;
-    e.manifest.reserve(touchedPages.size());
+    Candidate c;
+    c.manifest.reserve(touchedPages.size());
     for (uint32_t idx : touchedPages)
         if (idx < k.textPageHash.size())
-            e.manifest.emplace_back(idx, k.textPageHash[idx]);
+            c.manifest.emplace_back(idx, k.textPageHash[idx]);
+    Enc body;
+    putRecord(body, r, x);
+    c.body = std::move(body.s);
+    c.body.shrink_to_fit();  // resident for the cache's lifetime
 
-    StoredShard &s = e.value;
-    s.cycles = v.cycles;
-    s.insts = v.insts;
-    s.hist = v.hist;
-    s.breakdown = v.breakdown;
-    s.stallCycles = v.stallCycles;
-    s.blocks = v.blocks;
-    s.perWordSize = v.perWord.size();
-    for (uint32_t w = 0; w < v.perWord.size(); ++w)
-        if (v.perWord[w])
-            s.perWordNz.emplace_back(w, v.perWord[w]);
-    s.output = v.output;
-    s.endState = deltaArch(v.endState, x);
-    s.startKey = v.startKey;
-    s.endKey = v.endKey;
-    s.endTiming = v.endTiming;
-
-    std::string payload;
-    std::string name;
     std::lock_guard<std::mutex> lock(mu);
-    auto &bucket = shardTier[sk];
-    for (const ShardEntry &old : bucket)
-        if (old.manifest == e.manifest)
+    auto &bucket = entries[key];
+    for (const Candidate &old : bucket)
+        if (old.manifest == c.manifest)
             return;  // deterministic values: first store wins
     ++st.stores;
     if (!cfg.dir.empty()) {
         Enc o;
-        o.u64(sk.a);
-        o.u64(sk.b);
-        putPairs(o, e.manifest);
-        o.u64(s.cycles);
-        o.u64(s.insts);
-        o.v64(s.hist);
-        putBreakdown(o, s.breakdown);
-        o.u64(s.stallCycles);
-        o.u64(s.blocks);
-        putPairs(o, s.perWordNz);
-        o.u64(s.perWordSize);
-        o.blob(s.output);
-        putArch(o, s.endState);
-        o.v64(s.startKey);
-        o.v64(s.endKey);
-        putTiming(o, s.endTiming);
-        payload = std::move(o.s);
-        Enc m;
-        putPairs(m, e.manifest);
-        name = "s" + hex(sk.a) + hex(sk.b) + "-" +
-               hex(fnv64(m.s.data(), m.s.size())) + ".rc";
+        o.u64(key.a);
+        o.u64(key.b);
+        putPairs(o, c.manifest);
+        const uint64_t manifestSum =
+            fnv64(o.s.data() + 16, o.s.size() - 16);
+        o.s += c.body;
+        writeEntry(hex(key.a) + hex(key.b) + "-" + hex(manifestSum) +
+                       ".rc",
+                   o.s);
     }
-    bucket.push_back(std::move(e));
-    if (!name.empty())
-        writeEntry(kKindShard, name, payload);
-}
-
-bool
-ResultCache::lookupRun(const ImageKey &k, const exe::Executable &x,
-                       const Emulator::Config &ecfg, RunValue &out)
-{
-    static obs::Metric mMisses("rescache.misses",
-                               obs::MetricKind::Counter);
-    std::lock_guard<std::mutex> lock(mu);
-    ++st.lookups;
-    auto it = runTier.find(k.run);
-    if (it == runTier.end()) {
-        ++st.misses;
-        mMisses.add();
-        return false;
-    }
-    const StoredRun &v = it->second.value;
-    out.result = v.result;
-    out.cycles = v.cycles;
-    out.issueHistogram = v.issueHistogram;
-    out.stallBreakdown = v.stallBreakdown;
-    out.stallCycles = v.stallCycles;
-    out.leaderRetires.clear();
-    if (k.leader) {
-        out.leaderRetires.assign(v.leaderSize, 0);
-        for (const auto &[w, n] : v.leaderNz)
-            if (w < out.leaderRetires.size())
-                out.leaderRetires[w] = n;
-    }
-    out.blocksRetired = v.blocksRetired;
-    out.finalState = rebuildArch(v.finalState, x, ecfg);
-    out.shards = v.shards;
-    out.resims = v.resims;
-    noteHit(it->second.fromDisk, &Stats::runHits);
-    return true;
-}
-
-void
-ResultCache::storeRun(const ImageKey &k, const exe::Executable &x,
-                      const RunValue &v)
-{
-    RunEntry e;
-    StoredRun &s = e.value;
-    s.result = v.result;
-    s.cycles = v.cycles;
-    s.issueHistogram = v.issueHistogram;
-    s.stallBreakdown = v.stallBreakdown;
-    s.stallCycles = v.stallCycles;
-    s.leaderSize = v.leaderRetires.size();
-    for (uint32_t w = 0; w < v.leaderRetires.size(); ++w)
-        if (v.leaderRetires[w])
-            s.leaderNz.emplace_back(w, v.leaderRetires[w]);
-    s.blocksRetired = v.blocksRetired;
-    s.finalState = deltaArch(v.finalState, x);
-    s.shards = v.shards;
-    s.resims = v.resims;
-
-    std::lock_guard<std::mutex> lock(mu);
-    if (runTier.count(k.run))
-        return;
-    ++st.stores;
-    std::string name, payload;
-    if (!cfg.dir.empty()) {
-        Enc o;
-        o.u64(k.run.a);
-        o.u64(k.run.b);
-        putResult(o, s.result);
-        o.u64(s.cycles);
-        o.v64(s.issueHistogram);
-        putBreakdown(o, s.stallBreakdown);
-        o.u64(s.stallCycles);
-        putPairs(o, s.leaderNz);
-        o.u64(s.leaderSize);
-        o.u64(s.blocksRetired);
-        putArch(o, s.finalState);
-        o.u64(s.shards);
-        o.u64(s.resims);
-        payload = std::move(o.s);
-        name = "r" + hex(k.run.a) + hex(k.run.b) + ".rc";
-    }
-    runTier.emplace(k.run, std::move(e));
-    if (!name.empty())
-        writeEntry(kKindRun, name, payload);
-}
-
-bool
-ResultCache::lookupTimed(const Key &k, TimedValue &out)
-{
-    static obs::Metric mMisses("rescache.misses",
-                               obs::MetricKind::Counter);
-    std::lock_guard<std::mutex> lock(mu);
-    ++st.lookups;
-    auto it = timedTier.find(k);
-    if (it == timedTier.end()) {
-        ++st.misses;
-        mMisses.add();
-        return false;
-    }
-    out = it->second.value;
-    noteHit(it->second.fromDisk, &Stats::timedHits);
-    return true;
-}
-
-void
-ResultCache::storeTimed(const Key &k, const TimedValue &v)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (timedTier.count(k))
-        return;
-    ++st.stores;
-    timedTier.emplace(k, TimedEntry{v, false});
-    if (!cfg.dir.empty()) {
-        Enc o;
-        o.u64(k.a);
-        o.u64(k.b);
-        o.u64(v.instructions);
-        o.u64(v.cycles);
-        o.i32(v.exitCode);
-        o.ub(v.exited);
-        o.blob(v.output);
-        writeEntry(kKindTimed,
-                   "t" + hex(k.a) + hex(k.b) + ".rc", o.s);
-    }
+    bucket.push_back(std::move(c));
 }
 
 ResultCache::Stats
@@ -970,8 +795,8 @@ ResultCache::stats() const
 // ----------------------------------------------------------------
 // Disk tier. One file per entry:
 //
-//   "EELRC1" | u32 version | u8 kind | u64 payloadLen
-//   | payload | u64 fnv64(payload)
+//   "EELRC1" | u32 version | u64 payloadLen
+//   | payload (key, manifest, record body) | u64 fnv64(payload)
 //
 // Writes go to a unique temp name then rename into place, so a
 // concurrent reader never sees a half-written entry. Loads verify
@@ -979,7 +804,7 @@ ResultCache::stats() const
 // poisoned result) for anything malformed.
 
 void
-ResultCache::writeEntry(uint8_t kind, const std::string &name,
+ResultCache::writeEntry(const std::string &name,
                         const std::string &payload)
 {
     // mu is held: tempSeq and the write ordering stay consistent.
@@ -995,7 +820,6 @@ ResultCache::writeEntry(uint8_t kind, const std::string &name,
         Enc o;
         o.raw(kMagic, sizeof(kMagic));
         o.u32(diskVersion);
-        o.u8(kind);
         o.u64(payload.size());
         f.write(o.s.data(), o.s.size());
         f.write(payload.data(), payload.size());
@@ -1011,71 +835,26 @@ ResultCache::writeEntry(uint8_t kind, const std::string &name,
 }
 
 bool
-ResultCache::adoptPayload(uint8_t kind, const std::string &payload)
+ResultCache::adoptPayload(const std::string &payload)
 {
     Dec d(payload);
-    Key k{d.u64(), d.u64()};
-    if (kind == kKindShard) {
-        ShardEntry e;
-        e.fromDisk = true;
-        e.manifest = getPairs(d);
-        StoredShard &s = e.value;
-        s.cycles = d.u64();
-        s.insts = d.u64();
-        s.hist = d.v64();
-        getBreakdown(d, s.breakdown);
-        s.stallCycles = d.u64();
-        s.blocks = d.u64();
-        s.perWordNz = getPairs(d);
-        s.perWordSize = d.u64();
-        s.output = d.blob();
-        getArch(d, s.endState);
-        s.startKey = d.v64();
-        s.endKey = d.v64();
-        getTiming(d, s.endTiming);
-        if (!d.done())
-            return false;
-        auto &bucket = shardTier[k];
-        for (const ShardEntry &old : bucket)
-            if (old.manifest == e.manifest)
-                return true;
-        bucket.push_back(std::move(e));
-        return true;
-    }
-    if (kind == kKindRun) {
-        RunEntry e;
-        e.fromDisk = true;
-        StoredRun &s = e.value;
-        getResult(d, s.result);
-        s.cycles = d.u64();
-        s.issueHistogram = d.v64();
-        getBreakdown(d, s.stallBreakdown);
-        s.stallCycles = d.u64();
-        s.leaderNz = getPairs(d);
-        s.leaderSize = d.u64();
-        s.blocksRetired = d.u64();
-        getArch(d, s.finalState);
-        s.shards = d.u64();
-        s.resims = d.u64();
-        if (!d.done())
-            return false;
-        runTier.emplace(k, std::move(e));
-        return true;
-    }
-    if (kind == kKindTimed) {
-        TimedEntry e;
-        e.fromDisk = true;
-        e.value.instructions = d.u64();
-        e.value.cycles = d.u64();
-        e.value.exitCode = d.i32();
-        e.value.exited = d.ub();
-        e.value.output = d.blob();
-        if (!d.done())
-            return false;
-        timedTier.emplace(k, std::move(e));
-        return true;
-    }
-    return false;
+    Key key{d.u64(), d.u64()};
+    Candidate c;
+    c.fromDisk = true;
+    c.manifest = getPairs(d);
+    if (!d.ok)
+        return false;
+    c.body.assign(reinterpret_cast<const char *>(d.p), d.e - d.p);
+    Record check;
+    Dec body(c.body);
+    if (!getRecord(body, check, nullptr, nullptr))
+        return false;
+    auto &bucket = entries[key];
+    for (const Candidate &old : bucket)
+        if (old.manifest == c.manifest)
+            return true;
+    bucket.push_back(std::move(c));
+    return true;
 }
 
 void
@@ -1092,14 +871,13 @@ ResultCache::loadDiskTier()
         std::ifstream f(de.path(), std::ios::binary);
         std::string bytes((std::istreambuf_iterator<char>(f)),
                           std::istreambuf_iterator<char>());
-        const size_t header = sizeof(kMagic) + 4 + 1 + 8;
+        const size_t header = sizeof(kMagic) + 4 + 8;
         bool rejected = true;
         if (f && bytes.size() >= header + 8 &&
             std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
             Dec d(bytes);
             d.p += sizeof(kMagic);
             uint32_t version = d.u32();
-            uint8_t kind = d.u8();
             uint64_t len = d.u64();
             if (version == diskVersion &&
                 len == bytes.size() - header - 8) {
@@ -1109,7 +887,7 @@ ResultCache::loadDiskTier()
                 uint64_t sum = tail.u64();
                 if (sum ==
                         fnv64(payload.data(), payload.size()) &&
-                    adoptPayload(kind, payload)) {
+                    adoptPayload(payload)) {
                     rejected = false;
                     ++st.diskEntriesLoaded;
                 }

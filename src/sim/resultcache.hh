@@ -1,13 +1,15 @@
 /**
  * @file
- * Content-addressed cache of sharded timing-simulation results.
+ * Content-addressed cache of timing-simulation results.
  *
  * The paper's methodology is "edit a binary, re-measure it": every
  * table is a sweep of rewritten variants of one program, and the
  * variants share ~95% of their text pages through exe::SectionStore.
  * Yet each variant pays a full timing run. This subsystem closes
- * that gap by memoizing per-shard timing results under keys built
- * from exactly what determines them:
+ * that gap by memoizing timing results under keys built from exactly
+ * what determines them. There is one entry family: a Record stored
+ * under a 128-bit key, with a manifest of the text pages it depends
+ * on.
  *
  *   shard key  = H(machine/config fingerprint,
  *                  pristine-data identity of the image,
@@ -30,19 +32,22 @@
  * never-executed page cannot change a replay (the emulator faults
  * loads outside data/stack, so text is only read at executed pcs).
  *
- * A second, run-level tier keys the fully merged run on the whole
- * image (every text+data page hash) plus the fingerprint, letting an
- * unchanged image skip even the functional capture pass. A third
- * tier does the same for whole serial timedRun() results, which is
- * what the service daemon consults across SIMULATE requests.
+ * A whole run is the same kind of entry with an empty manifest: a
+ * merged sharded run lives under ImageKey::run (every text+data
+ * page hash plus the fingerprint), letting an unchanged image skip
+ * even the functional capture pass; a serial timedRun() — what the
+ * service daemon consults across SIMULATE requests — lives under
+ * serialRunKey(), a flavor of the same key, so neither can answer
+ * the other's lookup.
  *
- * Both tiers live in memory; with Config::dir set they write through
- * to a disk tier (one versioned, checksummed file per entry, loaded
- * on construction) so very long runs survive process restarts. Any
- * disk anomaly — short file, bad magic, wrong version, checksum
- * mismatch, truncated payload — rejects that file cleanly and the
- * lookup is treated as cold; a corrupt cache can cost time, never
- * correctness.
+ * Entries live in memory in their encoded form; with Config::dir set
+ * each store also writes through to a disk tier (one versioned,
+ * checksummed file per entry, loaded on construction) so very long
+ * runs survive process restarts. The disk file and the in-memory
+ * entry share one encoder and one bounds-checked decoder. Any disk
+ * anomaly — short file, bad magic, wrong version, checksum mismatch,
+ * malformed payload — rejects that file cleanly and the lookup is
+ * treated as cold; a corrupt cache can cost time, never correctness.
  *
  * The cache is only consulted for the perfect-icache configuration:
  * with Config::useICache the timing state is not self-contained
@@ -85,11 +90,8 @@ class ResultCache
 
     struct Stats
     {
-        uint64_t lookups = 0;        ///< shard+run+timed lookups
-        uint64_t hits = 0;           ///< all tiers
-        uint64_t runHits = 0;        ///< whole-run tier hits
-        uint64_t shardHits = 0;      ///< shard tier hits
-        uint64_t timedHits = 0;      ///< serial timed-run tier hits
+        uint64_t lookups = 0;
+        uint64_t hits = 0;
         uint64_t diskHits = 0;       ///< hits on disk-loaded entries
         uint64_t misses = 0;
         /** Lookups that found candidates under the key but every
@@ -121,13 +123,17 @@ class ResultCache
         Key run;   ///< fingerprint + every text and data page
         Key base;  ///< fingerprint + pristine-data identity only
         std::vector<uint64_t> textPageHash;  ///< per 1 KiB text page
-        bool leader = false;  ///< a block-leader bitmap was keyed in
     };
 
-    /** One shard's cached timing deltas — exactly the per-shard
-     *  record runSharded merges, including the stitch-validation
-     *  keys and handoff state. */
-    struct ShardValue
+    /**
+     * One cached timing result. For a shard: exactly the per-shard
+     * record runSharded merges — counter deltas past the warmup, the
+     * stitch-validation keys and handoff state. For a whole run: the
+     * merged totals (insts/output are the run's result, perWord its
+     * leader retires, endState its final state) plus the four
+     * fields only a run has. Wall-clock stats are never cached.
+     */
+    struct Record
     {
         uint64_t cycles = 0;
         uint64_t insts = 0;
@@ -137,43 +143,23 @@ class ResultCache
         uint64_t blocks = 0;
         std::vector<uint64_t> perWord;  ///< sized iff leader bitmap
         std::string output;
-        Emulator::ArchSnapshot endState;  ///< last shard only
+        /** Last shard or sharded run only (empty otherwise). */
+        Emulator::ArchSnapshot endState;
         std::vector<uint64_t> startKey, endKey;
         TimingSim::State endTiming;
-    };
 
-    /** A fully merged sharded run (the fields a warm re-run must
-     *  reproduce byte-for-byte; wall-clock stats excluded). */
-    struct RunValue
-    {
-        RunResult result;
-        uint64_t cycles = 0;
-        std::vector<uint64_t> issueHistogram;
-        obs::StallBreakdown stallBreakdown;
-        uint64_t stallCycles = 0;
-        std::vector<uint64_t> leaderRetires;
-        uint64_t blocksRetired = 0;
-        Emulator::ArchSnapshot finalState;
-        uint64_t shards = 0;
-        uint64_t resims = 0;
-    };
-
-    /** A completed serial timedRun() (the service's SIMULATE tier). */
-    struct TimedValue
-    {
-        uint64_t instructions = 0;
-        uint64_t cycles = 0;
         int exitCode = -1;
         bool exited = false;
-        std::string output;
+        uint64_t shards = 0;
+        uint64_t resims = 0;
     };
 
     ResultCache() : ResultCache(Config{}) {}
     explicit ResultCache(Config cfg);
 
     /**
-     * Build the key context for one runSharded invocation. Hashes
-     * the machine model, the output-affecting timing/emulator/shard
+     * Build the key context for one run of x. Hashes the machine
+     * model, the output-affecting timing/emulator/shard
      * configuration (engine-selection knobs that are proven
      * output-invariant — dispatch, simdHold, traceMemo — are
      * deliberately excluded), the pristine data identity, every
@@ -196,52 +182,32 @@ class ResultCache
     Key shardKeyHandoff(const ImageKey &k, const Checkpoint *cp,
                         const std::vector<uint64_t> &entryKey,
                         uint64_t len, bool isLast) const;
+    /** Key for a whole serial timedRun() of k's image (built with
+     *  interval and warmup 0): a flavor of k.run, so a serial record
+     *  never answers runSharded's lookup of k.run. */
+    Key serialRunKey(const ImageKey &k) const;
 
     /**
-     * Shard tier: a candidate under sk hits iff every touched page
-     * in its manifest still hashes the same in k. On a hit, out is
-     * the exact prior replay (endState rebuilt from deltas against
-     * x's pristine images sized by ecfg).
+     * A candidate under key hits iff every page in its manifest
+     * still hashes the same in k (a whole-run entry's manifest is
+     * empty) and its record decodes against x. On a hit, out is the
+     * exact stored record (endState rebuilt from deltas against x's
+     * pristine images sized by ecfg); on a miss out is untouched.
      */
-    bool lookupShard(const ImageKey &k, const Key &sk,
-                     const exe::Executable &x,
-                     const Emulator::Config &ecfg, ShardValue &out);
-    void storeShard(const ImageKey &k, const Key &sk,
-                    const std::vector<uint32_t> &touchedPages,
-                    const ShardValue &v, const exe::Executable &x);
-
-    /** Run tier: keyed on the whole image, no manifest needed. */
-    bool lookupRun(const ImageKey &k, const exe::Executable &x,
-                   const Emulator::Config &ecfg, RunValue &out);
-    void storeRun(const ImageKey &k, const exe::Executable &x,
-                  const RunValue &v);
-
-    /** Timed-run tier (serial timedRun; the service's SIMULATE). */
-    Key timedKey(const exe::Executable &x,
-                 const machine::MachineModel &model,
-                 const TimingSim::Config &tcfg,
-                 const Emulator::Config &ecfg);
-    bool lookupTimed(const Key &k, TimedValue &out);
-    void storeTimed(const Key &k, const TimedValue &v);
+    bool lookup(const ImageKey &k, const Key &key,
+                const exe::Executable &x, const Emulator::Config &ecfg,
+                Record &out);
+    /** Store r under key, its manifest the hashes in k of
+     *  touchedPages (empty for a whole run). Results are
+     *  deterministic, so the first store of a (key, manifest) wins. */
+    void store(const ImageKey &k, const Key &key,
+               const std::vector<uint32_t> &touchedPages,
+               const Record &r, const exe::Executable &x);
 
     Stats stats() const;
 
     /** Disk format version; bump on any layout change. */
-    static constexpr uint32_t diskVersion = 1;
-
-    /** endState/finalState as deltas vs the pristine images (a full
-     *  ArchSnapshot carries the whole 1 MiB stack). Public only so
-     *  the serializers in resultcache.cc can name it. */
-    struct ArchDelta
-    {
-        bool present = false;
-        uint32_t intRegs[32] = {};
-        uint32_t fpRegs[32] = {};
-        unsigned icc = 0, fcc = 0;
-        uint32_t y = 0;
-        MemDelta dataDelta;   ///< vs initialDataImage(x)
-        MemDelta stackDelta;  ///< vs zeros
-    };
+    static constexpr uint32_t diskVersion = 2;
 
   private:
     struct KeyHash
@@ -249,74 +215,25 @@ class ResultCache
         size_t operator()(const Key &k) const { return size_t(k.a); }
     };
 
-    struct StoredShard
-    {
-        uint64_t cycles = 0, insts = 0;
-        std::vector<uint64_t> hist;
-        obs::StallBreakdown breakdown;
-        uint64_t stallCycles = 0;
-        uint64_t blocks = 0;
-        /** Sparse perWord: (word index, count), plus original size. */
-        std::vector<std::pair<uint32_t, uint64_t>> perWordNz;
-        uint64_t perWordSize = 0;
-        std::string output;
-        ArchDelta endState;
-        std::vector<uint64_t> startKey, endKey;
-        TimingSim::State endTiming;
-    };
+    using Manifest = std::vector<std::pair<uint32_t, uint64_t>>;
 
-    struct ShardEntry
+    /** One stored record, kept encoded: the body of its disk file. */
+    struct Candidate
     {
-        std::vector<std::pair<uint32_t, uint64_t>> manifest;
-        StoredShard value;
+        Manifest manifest;
+        std::string body;
         bool fromDisk = false;
     };
-
-    struct StoredRun
-    {
-        RunResult result;
-        uint64_t cycles = 0;
-        std::vector<uint64_t> issueHistogram;
-        obs::StallBreakdown stallBreakdown;
-        uint64_t stallCycles = 0;
-        std::vector<std::pair<uint32_t, uint64_t>> leaderNz;
-        uint64_t leaderSize = 0;
-        uint64_t blocksRetired = 0;
-        ArchDelta finalState;
-        uint64_t shards = 0;
-        uint64_t resims = 0;
-    };
-
-    struct RunEntry
-    {
-        StoredRun value;
-        bool fromDisk = false;
-    };
-
-    struct TimedEntry
-    {
-        TimedValue value;
-        bool fromDisk = false;
-    };
-
-    static ArchDelta deltaArch(const Emulator::ArchSnapshot &s,
-                               const exe::Executable &x);
-    static Emulator::ArchSnapshot rebuildArch(
-        const ArchDelta &d, const exe::Executable &x,
-        const Emulator::Config &ecfg);
 
     uint64_t pageHash(const exe::ChunkPtr &c) const;
     void loadDiskTier();
-    void writeEntry(uint8_t kind, const std::string &name,
+    bool adoptPayload(const std::string &payload);
+    void writeEntry(const std::string &name,
                     const std::string &payload);
-    bool adoptPayload(uint8_t kind, const std::string &payload);
-    void noteHit(bool fromDisk, uint64_t Stats::*tier);
 
     Config cfg;
     mutable std::mutex mu;
-    std::unordered_map<Key, std::vector<ShardEntry>, KeyHash> shardTier;
-    std::unordered_map<Key, RunEntry, KeyHash> runTier;
-    std::unordered_map<Key, TimedEntry, KeyHash> timedTier;
+    std::unordered_map<Key, std::vector<Candidate>, KeyHash> entries;
     Stats st;
     uint64_t tempSeq = 0;
 };

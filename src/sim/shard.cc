@@ -47,73 +47,18 @@ struct ReplaySink final
     }
 };
 
-/** Counter deltas one shard contributes past its warmup. */
+/** One shard's replay: the cache record (counter deltas past its
+ *  warmup, end state, stitch-validation keys) plus what the cache
+ *  never stores. */
 struct ShardOut
 {
-    uint64_t cycles = 0;
-    uint64_t insts = 0;
-    std::vector<uint64_t> hist;
+    ResultCache::Record rec;
     uint64_t icMisses = 0;
     uint64_t icAccesses = 0;
-    obs::StallBreakdown breakdown;
-    uint64_t stallCycles = 0;
-    uint64_t blocks = 0;
-    std::vector<uint64_t> perWord;
-    std::string output;
-    Emulator::ArchSnapshot endState;  ///< last shard only
-
-    // Stitch-validation records (perfect-cache config only): the
-    // normalized timing state this shard measured from, the state it
-    // ended in, and that end state raw, so a mis-warmed successor
-    // can be replayed from it.
-    std::vector<uint64_t> startKey, endKey;
-    TimingSim::State endTiming;
-
     /** Text pages this shard's replay (incl. warmup) executed; sized
      *  only while the result cache records manifests. */
     std::vector<uint8_t> touched;
 };
-
-/** Adopt a cached shard result (icache counters are zero by the
- *  cache's perfect-icache gate). */
-void
-adoptShardValue(ShardOut &o, ResultCache::ShardValue &&v)
-{
-    o.cycles = v.cycles;
-    o.insts = v.insts;
-    o.hist = std::move(v.hist);
-    o.icMisses = 0;
-    o.icAccesses = 0;
-    o.breakdown = v.breakdown;
-    o.stallCycles = v.stallCycles;
-    o.blocks = v.blocks;
-    o.perWord = std::move(v.perWord);
-    o.output = std::move(v.output);
-    o.endState = std::move(v.endState);
-    o.startKey = std::move(v.startKey);
-    o.endKey = std::move(v.endKey);
-    o.endTiming = std::move(v.endTiming);
-}
-
-/** The per-shard record, as the cache stores it. */
-ResultCache::ShardValue
-toShardValue(const ShardOut &o)
-{
-    ResultCache::ShardValue v;
-    v.cycles = o.cycles;
-    v.insts = o.insts;
-    v.hist = o.hist;
-    v.breakdown = o.breakdown;
-    v.stallCycles = o.stallCycles;
-    v.blocks = o.blocks;
-    v.perWord = o.perWord;
-    v.output = o.output;
-    v.endState = o.endState;
-    v.startKey = o.startKey;
-    v.endKey = o.endKey;
-    v.endTiming = o.endTiming;
-    return v;
-}
 
 std::vector<uint32_t>
 touchedPageList(const std::vector<uint8_t> &touched)
@@ -123,6 +68,29 @@ touchedPageList(const std::vector<uint8_t> &touched)
         if (touched[i])
             pages.push_back(i);
     return pages;
+}
+
+/** A whole-run record (merged or cached) viewed as a ShardedRun. */
+ShardedRun
+fromRunRecord(ResultCache::Record &&r, const machine::MachineModel &model)
+{
+    ShardedRun out;
+    out.result.instructions = r.insts;
+    out.result.exitCode = r.exitCode;
+    out.result.exited = r.exited;
+    out.result.output = std::move(r.output);
+    out.cycles = r.cycles;
+    out.seconds = double(r.cycles) / (model.clockMhz() * 1e6);
+    out.ipc = r.cycles ? double(r.insts) / double(r.cycles) : 0.0;
+    out.issueHistogram = std::move(r.hist);
+    out.stallBreakdown = r.breakdown;
+    out.stallCycles = r.stallCycles;
+    out.leaderRetires = std::move(r.perWord);
+    out.blocksRetired = r.blocks;
+    out.finalState = std::move(r.endState);
+    out.stats.shards = r.shards;
+    out.stats.resims = r.resims;
+    return out;
 }
 
 } // namespace
@@ -159,26 +127,11 @@ runSharded(const exe::Executable &x,
         ikey = opts.cache->imageKey(x, model, opts.timing, opts.emu,
                                     opts.interval, opts.warmup,
                                     opts.blockLeader);
-        // Run-level tier: an image whose every text+data page is
+        // Whole-run entry: an image whose every text+data page is
         // unchanged skips even the functional capture pass.
-        ResultCache::RunValue rv;
-        if (opts.cache->lookupRun(ikey, x, opts.emu, rv)) {
-            ShardedRun hit;
-            hit.result = rv.result;
-            hit.cycles = rv.cycles;
-            hit.issueHistogram = std::move(rv.issueHistogram);
-            hit.stallBreakdown = rv.stallBreakdown;
-            hit.stallCycles = rv.stallCycles;
-            hit.leaderRetires = std::move(rv.leaderRetires);
-            hit.blocksRetired = rv.blocksRetired;
-            hit.finalState = std::move(rv.finalState);
-            hit.seconds =
-                double(hit.cycles) / (model.clockMhz() * 1e6);
-            hit.ipc = hit.cycles ? double(hit.result.instructions) /
-                                       double(hit.cycles)
-                                 : 0.0;
-            hit.stats.shards = rv.shards;
-            hit.stats.resims = rv.resims;
+        ResultCache::Record run;
+        if (opts.cache->lookup(ikey, ikey.run, x, opts.emu, run)) {
+            ShardedRun hit = fromRunRecord(std::move(run), model);
             hit.stats.cachedRun = true;
             return hit;
         }
@@ -195,13 +148,13 @@ runSharded(const exe::Executable &x,
         log = captureCheckpoints(x, copts, text);
     }
 
-    ShardedRun out;
-    out.stats.captureSec = elapsed(t0);
-    out.stats.checkpointBytes = log.bytes();
+    ShardStats stats;
+    stats.captureSec = elapsed(t0);
+    stats.checkpointBytes = log.bytes();
 
     const uint64_t total = log.functional.instructions;
     const size_t shards = log.checkpoints.size() + 1;
-    out.stats.shards = shards;
+    stats.shards = shards;
 
     // Shard k replays (start_k, end_k]; the boundaries are the
     // checkpoints' retirement counts.
@@ -231,6 +184,7 @@ runSharded(const exe::Executable &x,
             restoreCheckpoint(emu, log.checkpoints[k - 1]);
 
         ShardOut &o = results[k];
+        ResultCache::Record &rec = o.rec;
         if (useCache)
             o.touched.assign(x.text.chunkRefs().size(), 0);
 
@@ -250,8 +204,8 @@ runSharded(const exe::Executable &x,
             }
         }
         if (validate) {
-            o.startKey.clear();
-            timing.appendNormalizedKey(o.startKey);
+            rec.startKey.clear();
+            timing.appendNormalizedKey(rec.startKey);
         }
         // Everything accrued so far belongs to earlier shards; this
         // shard contributes only deltas past the cut.
@@ -273,36 +227,36 @@ runSharded(const exe::Executable &x,
 
         RunResult r = emu.run(sink, shardEnd(k) - shardStart(k));
 
-        o.cycles = timing.cycles() - warmCycles;
-        o.insts = r.instructions;
-        o.hist = timing.issueHistogram();
-        for (size_t b = 0; b < o.hist.size() && b < warmHist.size();
+        rec.cycles = timing.cycles() - warmCycles;
+        rec.insts = r.instructions;
+        rec.hist = timing.issueHistogram();
+        for (size_t b = 0; b < rec.hist.size() && b < warmHist.size();
              ++b)
-            o.hist[b] -= std::min(o.hist[b], warmHist[b]);
+            rec.hist[b] -= std::min(rec.hist[b], warmHist[b]);
         if (timing.icache()) {
             o.icMisses = timing.icache()->misses() - warmMisses;
             o.icAccesses = timing.icache()->accesses() - warmAccesses;
         }
-        o.breakdown = timing.stallBreakdown();
-        o.breakdown -= warmBrk;
-        o.stallCycles = timing.stallCycles() - warmStall;
-        o.blocks = sink.blocks;
-        o.perWord = std::move(sink.perWord);
-        o.output = std::move(r.output);
+        rec.breakdown = timing.stallBreakdown();
+        rec.breakdown -= warmBrk;
+        rec.stallCycles = timing.stallCycles() - warmStall;
+        rec.blocks = sink.blocks;
+        rec.perWord = std::move(sink.perWord);
+        rec.output = std::move(r.output);
         if (k + 1 == shards)
-            o.endState = emu.snapshot();
+            rec.endState = emu.snapshot();
         if (validate) {
-            o.endTiming = timing.snapshotState();
-            o.endKey.clear();
-            timing.appendNormalizedKey(o.endKey);
+            rec.endTiming = timing.snapshotState();
+            rec.endKey.clear();
+            timing.appendNormalizedKey(rec.endKey);
         }
         timing.flushPipelineMetrics();
     };
-    // Shard-tier lookups run up front on the calling thread; only
-    // the misses are dispatched to the pool. A shard hits when its
-    // entry state (checkpoint + recorded warmup) and every text page
-    // it executed are unchanged — so after an edit, exactly the
-    // shards that execute the edited pages replay.
+    // Shard lookups run up front on the calling thread; only the
+    // misses are dispatched to the pool. A shard hits when its entry
+    // state (checkpoint + recorded warmup) and every text page it
+    // executed are unchanged — so after an edit, exactly the shards
+    // that execute the edited pages replay.
     std::vector<ResultCache::Key> warmKey(useCache ? shards : 0);
     std::vector<char> cached(shards, 0);
     if (useCache) {
@@ -312,12 +266,10 @@ runSharded(const exe::Executable &x,
             warmKey[k] = opts.cache->shardKeyWarm(
                 ikey, cp, shardEnd(k) - shardStart(k),
                 k + 1 == shards);
-            ResultCache::ShardValue sv;
-            if (opts.cache->lookupShard(ikey, warmKey[k], x,
-                                        opts.emu, sv)) {
-                adoptShardValue(results[k], std::move(sv));
+            if (opts.cache->lookup(ikey, warmKey[k], x, opts.emu,
+                                   results[k].rec)) {
                 cached[k] = 1;
-                ++out.stats.cachedShards;
+                ++stats.cachedShards;
             }
         }
     }
@@ -326,9 +278,9 @@ runSharded(const exe::Executable &x,
         obs::Span span("shard.replay." + std::to_string(k));
         replayRegion(k, nullptr);
         if (useCache)
-            opts.cache->storeShard(ikey, warmKey[k],
-                                   touchedPageList(results[k].touched),
-                                   toShardValue(results[k]), x);
+            opts.cache->store(ikey, warmKey[k],
+                              touchedPageList(results[k].touched),
+                              results[k].rec, x);
     };
 
     t0 = Clock::now();
@@ -372,7 +324,8 @@ runSharded(const exe::Executable &x,
         static obs::Metric mResims("shard.stitch_resims",
                                    obs::MetricKind::Counter);
         for (size_t k = 1; k < shards; ++k) {
-            if (results[k].startKey == results[k - 1].endKey)
+            const ResultCache::Record &prev = results[k - 1].rec;
+            if (results[k].rec.startKey == prev.endKey)
                 continue;
             if (useCache) {
                 // Resimulations get their own cache flavor, keyed on
@@ -381,79 +334,70 @@ runSharded(const exe::Executable &x,
                 // non-converging stream skips even its stitch work.
                 const Checkpoint *cp = &log.checkpoints[k - 1];
                 ResultCache::Key hk = opts.cache->shardKeyHandoff(
-                    ikey, cp, results[k - 1].endKey,
+                    ikey, cp, prev.endKey,
                     shardEnd(k) - shardStart(k), k + 1 == shards);
-                ResultCache::ShardValue sv;
-                if (opts.cache->lookupShard(ikey, hk, x, opts.emu,
-                                            sv)) {
-                    adoptShardValue(results[k], std::move(sv));
-                    ++out.stats.cachedShards;
+                if (opts.cache->lookup(ikey, hk, x, opts.emu,
+                                       results[k].rec)) {
+                    ++stats.cachedShards;
                     continue;
                 }
-                replayRegion(k, &results[k - 1].endTiming);
-                opts.cache->storeShard(
-                    ikey, hk, touchedPageList(results[k].touched),
-                    toShardValue(results[k]), x);
+                replayRegion(k, &prev.endTiming);
+                opts.cache->store(ikey, hk,
+                                  touchedPageList(results[k].touched),
+                                  results[k].rec, x);
             } else {
-                replayRegion(k, &results[k - 1].endTiming);
+                replayRegion(k, &prev.endTiming);
             }
             mResims.add();
-            ++out.stats.resims;
+            ++stats.resims;
         }
     }
-    out.stats.replaySec = elapsed(t0);
+    stats.replaySec = elapsed(t0);
 
     // Deterministic reduction: fold in shard order, so the merged
     // result is independent of how the pool interleaved the replays.
-    out.result = log.functional;
+    ResultCache::Record run;
+    run.exitCode = log.functional.exitCode;
+    run.exited = log.functional.exited;
     if (opts.blockLeader)
-        out.leaderRetires.assign(x.text.size(), 0);
-    std::string replayOutput;
-    uint64_t insts = 0;
+        run.perWord.assign(x.text.size(), 0);
+    uint64_t icMisses = 0, icAccesses = 0;
     for (const ShardOut &o : results) {
-        out.cycles += o.cycles;
-        insts += o.insts;
-        if (out.issueHistogram.size() < o.hist.size())
-            out.issueHistogram.resize(o.hist.size(), 0);
-        for (size_t b = 0; b < o.hist.size(); ++b)
-            out.issueHistogram[b] += o.hist[b];
-        out.icacheMisses += o.icMisses;
-        out.icacheAccesses += o.icAccesses;
-        out.stallBreakdown += o.breakdown;
-        out.stallCycles += o.stallCycles;
-        out.blocksRetired += o.blocks;
-        for (size_t w = 0; w < o.perWord.size(); ++w)
-            out.leaderRetires[w] += o.perWord[w];
-        replayOutput += o.output;
+        const ResultCache::Record &s = o.rec;
+        run.cycles += s.cycles;
+        run.insts += s.insts;
+        if (run.hist.size() < s.hist.size())
+            run.hist.resize(s.hist.size(), 0);
+        for (size_t b = 0; b < s.hist.size(); ++b)
+            run.hist[b] += s.hist[b];
+        icMisses += o.icMisses;
+        icAccesses += o.icAccesses;
+        run.breakdown += s.breakdown;
+        run.stallCycles += s.stallCycles;
+        run.blocks += s.blocks;
+        for (size_t w = 0; w < s.perWord.size(); ++w)
+            run.perWord[w] += s.perWord[w];
+        run.output += s.output;
     }
     // Replay fidelity: the shards re-execute exactly the capture
     // pass's instruction stream, so any divergence here is a bug in
     // checkpoint save/restore, not a property of the workload.
-    if (insts != total)
+    if (run.insts != total)
         fatal("shard: replays retired %llu instructions, capture "
-              "pass %llu", (unsigned long long)insts,
+              "pass %llu", (unsigned long long)run.insts,
               (unsigned long long)total);
-    if (replayOutput != log.functional.output)
+    if (run.output != log.functional.output)
         fatal("shard: replay output diverged from the capture pass");
+    run.endState = std::move(results.back().rec.endState);
+    run.shards = shards;
+    run.resims = stats.resims;
 
-    out.seconds = double(out.cycles) / (model.clockMhz() * 1e6);
-    out.ipc = out.cycles ? double(insts) / double(out.cycles) : 0.0;
-    out.finalState = results.back().endState;
-
-    if (useCache) {
-        ResultCache::RunValue rv;
-        rv.result = out.result;
-        rv.cycles = out.cycles;
-        rv.issueHistogram = out.issueHistogram;
-        rv.stallBreakdown = out.stallBreakdown;
-        rv.stallCycles = out.stallCycles;
-        rv.leaderRetires = out.leaderRetires;
-        rv.blocksRetired = out.blocksRetired;
-        rv.finalState = out.finalState;
-        rv.shards = shards;
-        rv.resims = out.stats.resims;
-        opts.cache->storeRun(ikey, x, rv);
-    }
+    if (useCache)
+        opts.cache->store(ikey, ikey.run, {}, run, x);
+    ShardedRun out = fromRunRecord(std::move(run), model);
+    out.icacheMisses = icMisses;
+    out.icacheAccesses = icAccesses;
+    out.stats = stats;
     return out;
 }
 

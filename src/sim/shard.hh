@@ -88,7 +88,7 @@ struct ShardOptions
      * gate as the validation stitch, because a shard's timing state
      * is only self-contained without cache contents. A warm run
      * reuses every shard whose entry state and executed text pages
-     * are unchanged; the run-level tier can skip even the capture
+     * are unchanged; a whole-run entry can skip even the capture
      * pass. Cached results are byte-identical to a cold run.
      */
     ResultCache *cache = nullptr;
@@ -104,7 +104,7 @@ struct ShardStats
      *  serially from the predecessor's end state. */
     size_t resims = 0;
     /** Shards satisfied from the result cache (warm or handoff
-     *  entries), and whether the whole run was a run-tier hit. */
+     *  entries), and whether the whole run was a whole-run hit. */
     size_t cachedShards = 0;
     bool cachedRun = false;
 };

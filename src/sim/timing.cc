@@ -254,25 +254,7 @@ TimedRun
 timedRun(const exe::Executable &x, const machine::MachineModel &model,
          TimingSim::Config cfg, Emulator::Config emu_cfg)
 {
-    obs::Span span("sim.timedRun");
-    Emulator emu(x, emu_cfg);
-    TimingSim timing(model, cfg);
-    TimedRun out;
-    // Templated run: TimingSim is final, so retire() dispatches
-    // directly and inlines into the interpreter loop.
-    out.result = emu.run(timing);
-    out.cycles = timing.cycles();
-    out.seconds = timing.seconds();
-    out.ipc = timing.ipc();
-    out.issueHistogram = timing.issueHistogram();
-    if (timing.icache()) {
-        out.icacheMisses = timing.icache()->misses();
-        out.icacheAccesses = timing.icache()->accesses();
-    }
-    out.stallBreakdown = timing.stallBreakdown();
-    out.stallCycles = timing.stallCycles();
-    timing.flushPipelineMetrics();
-    return out;
+    return timedRun(x, model, RunBudget{}, cfg, emu_cfg);
 }
 
 TimedRun
@@ -280,11 +262,11 @@ timedRun(const exe::Executable &x, const machine::MachineModel &model,
          const RunBudget &budget, TimingSim::Config cfg,
          Emulator::Config emu_cfg)
 {
-    obs::Span span("sim.timedRunBudget");
+    obs::Span span("sim.timedRun");
     const uint64_t cap = emu_cfg.maxInstructions;
-    const uint64_t slice =
-        budget.sliceInstructions ? budget.sliceInstructions
-                                 : 64 * 1024;
+    const uint64_t slice = budget.cancel && budget.sliceInstructions
+                               ? budget.sliceInstructions
+                               : cap;
     Emulator emu = budget.decodeStore
                        ? Emulator(x, emu_cfg,
                                   Emulator::decodeText(
@@ -293,8 +275,10 @@ timedRun(const exe::Executable &x, const machine::MachineModel &model,
     TimingSim timing(model, cfg);
     TimedRun out;
     while (!emu.finished() && emu.retired() < cap) {
-        uint64_t step = std::min(slice, cap - emu.retired());
-        RunResult r = emu.run(timing, step);
+        // Templated run: TimingSim is final, so retire() dispatches
+        // directly and inlines into the interpreter loop.
+        RunResult r =
+            emu.run(timing, std::min(slice, cap - emu.retired()));
         out.result.instructions += r.instructions;
         out.result.output += r.output;
         if (emu.finished()) {

@@ -447,12 +447,14 @@ TimedRun timedRun(const exe::Executable &x,
  * `sliceInstructions` and polls cancel() at each slice boundary —
  * the timing analogue of a shard boundary. A service enforcing a
  * per-request deadline closes over its clock in cancel(); the poll
- * costs one memo sync per slice, so slices stay coarse.
+ * costs one memo sync per slice, so slices stay coarse. Slicing
+ * exists only to poll: a budget without cancel() (or with
+ * sliceInstructions 0) runs in one slice.
  */
 struct RunBudget
 {
     /** Polled between slices; return true to stop the run. Null
-     *  never cancels (the budget then only slices the run). */
+     *  never cancels and never slices. */
     std::function<bool()> cancel;
     uint64_t sliceInstructions = 64 * 1024;
     /** When set, the emulator's text decode is memoized here
@@ -462,11 +464,11 @@ struct RunBudget
 };
 
 /**
- * timedRun under a budget: identical counters for a run that
- * completes (the slice boundaries are invisible — TimingSim's sync
- * keeps the memo exact at any flush pattern), partial counters with
- * .cancelled set for one that is stopped. emu_cfg.maxInstructions
- * still bounds the whole run.
+ * timedRun under a budget (the overload above passes an empty one):
+ * identical counters for a run that completes (the slice boundaries
+ * are invisible — TimingSim's sync keeps the memo exact at any flush
+ * pattern), partial counters with .cancelled set for one that is
+ * stopped. emu_cfg.maxInstructions still bounds the whole run.
  */
 TimedRun timedRun(const exe::Executable &x,
                   const machine::MachineModel &model,

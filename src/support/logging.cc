@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/obs/log.hh"
-
 namespace eel {
 
 std::string
@@ -27,26 +25,6 @@ strfmt(const char *fmt, ...)
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
     return s;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    obs::logf(obs::LogLevel::Info, "%s", s.c_str());
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    obs::logf(obs::LogLevel::Warn, "%s", s.c_str());
 }
 
 void

@@ -1,15 +1,9 @@
 /**
  * @file
- * Status and error reporting in the gem5 tradition: inform/warn for
- * status, fatal for user errors, panic for internal invariant
- * violations.
- *
- * inform()/warn() are thin shims over the leveled obs logger
- * (src/obs/log.hh): they emit at Info/Warn and honor the EEL_LOG
- * environment override, so EEL_LOG=warn silences status chatter and
- * EEL_LOG=silent mutes everything. New code should call obs::logf()
- * directly (it adds Debug and Error levels); this header stays for
- * the existing call sites and for fatal/panic/strfmt.
+ * Error reporting in the gem5 tradition: fatal for user errors,
+ * panic for internal invariant violations, plus printf-style
+ * formatting. Status messages go through the leveled obs logger
+ * (obs::logf in src/obs/log.hh).
  */
 
 #ifndef EEL_SUPPORT_LOGGING_HH
@@ -42,12 +36,6 @@ class PanicError : public std::logic_error
 std::string vstrfmt(const char *fmt, va_list ap);
 std::string strfmt(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print a warning to stderr. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report a condition that is the user's fault (bad input file, invalid

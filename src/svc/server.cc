@@ -570,7 +570,7 @@ Server::handleRewrite(const Frame &req, Status &st,
         return strfmt("unknown image id %llx",
                       static_cast<unsigned long long>(r.imageId));
     }
-    if (r.kind > uint8_t(edit::VariantKind::Superblock))
+    if (r.kind > uint8_t(edit::VariantKind::Pipeline))
         fatal("unknown rewrite kind %u", unsigned(r.kind));
     std::string machineName =
         r.machine.empty() ? cfg.defaultMachine : r.machine;
@@ -662,22 +662,23 @@ Server::handleSimulate(const Frame &req,
 
     SimulateReply rep;
     if (r.timing) {
-        // Content-addressed: the key covers the image's text pages,
-        // the machine fingerprint, and ecfg (so different limits
-        // never collide). A hit is a finished run by construction —
+        // Content-addressed: the key covers the image's pages, the
+        // machine fingerprint, and ecfg (so different limits never
+        // collide). A hit is a finished run by construction —
         // cancelled runs are never stored — so it can't owe a
         // DeadlineExceeded.
         tl.begin(TL::CacheLookup);
-        sim::ResultCache::Key key =
-            _rescache.timedKey(*image, model, {}, ecfg);
-        sim::ResultCache::TimedValue tv;
-        bool hit = _rescache.lookupTimed(key, tv);
+        const sim::ResultCache::ImageKey ikey =
+            _rescache.imageKey(*image, model, {}, ecfg, 0, 0, nullptr);
+        const sim::ResultCache::Key key = _rescache.serialRunKey(ikey);
+        sim::ResultCache::Record rec;
+        bool hit = _rescache.lookup(ikey, key, *image, ecfg, rec);
         tl.end(TL::CacheLookup);
         if (hit) {
-            rep.instructions = tv.instructions;
-            rep.cycles = tv.cycles;
-            rep.exitCode = static_cast<uint32_t>(tv.exitCode);
-            rep.exited = tv.exited;
+            rep.instructions = rec.insts;
+            rep.cycles = rec.cycles;
+            rep.exitCode = static_cast<uint32_t>(rec.exitCode);
+            rep.exited = rec.exited;
             std::lock_guard<std::mutex> lock(ctrMu);
             ++ctr.simCacheHits;
         } else {
@@ -696,12 +697,15 @@ Server::handleSimulate(const Frame &req,
                 // client's timeout to everyone else.
                 st = Status::DeadlineExceeded;
             } else {
-                tv.instructions = run.result.instructions;
-                tv.cycles = run.cycles;
-                tv.exitCode = run.result.exitCode;
-                tv.exited = run.result.exited;
-                tv.output = run.result.output;
-                _rescache.storeTimed(key, tv);
+                rec.insts = run.result.instructions;
+                rec.cycles = run.cycles;
+                rec.exitCode = run.result.exitCode;
+                rec.exited = run.result.exited;
+                rec.output = std::move(run.result.output);
+                rec.hist = std::move(run.issueHistogram);
+                rec.breakdown = run.stallBreakdown;
+                rec.stallCycles = run.stallCycles;
+                _rescache.store(ikey, key, {}, rec, *image);
             }
         }
     } else {

@@ -55,14 +55,12 @@ TEST(TraceSchema, BenchTraceLoadsAndIsNamedAndMonotone)
     obs::enableTracing();
     obs::setThreadName("main");
 
-    // One benchmark, scaled down, through both orchestration modes
-    // the acceptance criteria name: batch rewriting (batch.stamp.*
-    // spans) and sharded simulation (shard.replay.* spans) on a
-    // multi-worker pool.
+    // One benchmark, scaled down, through both orchestration layers:
+    // batch rewriting (batch.stamp.* spans) and sharded simulation
+    // (shard.replay.* spans) on a multi-worker pool.
     bench::TableOptions topts;
     topts.scale = 0.05;
     topts.jobs = 4;
-    topts.batch = true;
     topts.shardInterval = 2000;
     topts.only = workload::spec95(topts.machine)[0].name;
     std::vector<bench::Row> rows = bench::runTable(topts);

@@ -166,9 +166,10 @@ TEST(ResultCache, WarmRunHitsRunTier)
     EXPECT_EQ(warm.stats.shards, cold.stats.shards);
     expectRunsEqual(warm, cold);
 
+    // The warm run was answered by its one whole-run lookup.
+    EXPECT_EQ(warm.stats.cachedShards, 0u);
     ResultCache::Stats st = cache.stats();
-    EXPECT_GE(st.runHits, 1u);
-    EXPECT_EQ(st.hits, st.runHits + st.shardHits + st.timedHits);
+    EXPECT_EQ(st.hits, 1u);
     EXPECT_EQ(st.invalidations, 0u);
 
     // A run without the cache matches too (the cache changed
@@ -411,44 +412,151 @@ TEST(ResultCache, CorruptDiskFilesRejectedAndTreatedCold)
     fs::remove_all(dir);
 }
 
-TEST(ResultCache, TimedTierRoundtripsThroughDisk)
+/** An entry file around payload: "EELRC1" | u32 version |
+ *  u64 length | payload | u64 FNV-1a(payload), little-endian. */
+std::string
+entryFile(const std::string &payload,
+          uint32_t version = ResultCache::diskVersion)
+{
+    auto le = [](std::string &out, uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(char(v >> (8 * i)));
+    };
+    uint64_t sum = 0xcbf29ce484222325ull;
+    for (char c : payload) {
+        sum ^= uint8_t(c);
+        sum *= 0x100000001b3ull;
+    }
+    std::string out = "EELRC1";
+    le(out, version, 4);
+    le(out, payload.size(), 8);
+    out += payload;
+    le(out, sum, 8);
+    return out;
+}
+
+TEST(ResultCache, MalformedPayloadsWithValidChecksumsRejected)
 {
     Fixture f;
-    fs::path dir = scratchDir("eel_rescache_timed");
+    fs::path dir = scratchDir("eel_rescache_payload");
+    {
+        ResultCache cache({dir.string(), nullptr});
+        runSharded(f.x, f.model, f.opts(&cache));
+    }
+    // The largest entry carries an end state (memory deltas) as well
+    // as every other record field.
+    std::string bytes;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        std::string b(std::istreambuf_iterator<char>(in), {});
+        if (b.size() > bytes.size())
+            bytes = std::move(b);
+    }
+    fs::remove_all(dir);
+    ASSERT_GT(bytes.size(), 26u);
+    const std::string payload = bytes.substr(18, bytes.size() - 26);
+    ASSERT_EQ(entryFile(payload), bytes);
 
-    ResultCache::TimedValue v;
-    v.instructions = 12345;
+    // Every damaged file passes the length and checksum checks, so
+    // only the bounds-checked decoder can reject it: a truncated
+    // payload at many cut points, a trailing byte, and a version-1
+    // file (the three-tier layout).
+    fs::create_directories(dir);
+    size_t damaged = 0;
+    auto put = [&](const std::string &file) {
+        std::ofstream(dir / ("d" + std::to_string(damaged++) + ".rc"),
+                      std::ios::binary)
+            << file;
+    };
+    const size_t step = std::max<size_t>(1, payload.size() / 97);
+    for (size_t cut = 0; cut < payload.size();
+         cut += cut < 256 ? 1 : step)
+        put(entryFile(payload.substr(0, cut)));
+    put(entryFile(payload + '\0'));
+    put(entryFile(payload, 1));
+    std::ofstream(dir / "intact.rc", std::ios::binary) << bytes;
+
+    ResultCache reborn({dir.string(), nullptr});
+    EXPECT_EQ(reborn.stats().diskRejects, damaged);
+    EXPECT_EQ(reborn.stats().diskEntriesLoaded, 1u);
+    fs::remove_all(dir);
+}
+
+TEST(ResultCache, EndStateOverrunningTheImagesMisses)
+{
+    // An end state whose memory deltas do not fit the images a lookup
+    // rebuilds (as a hostile entry file could hold) misses cleanly.
+    Fixture f;
+    ResultCache cache;
+    ResultCache::ImageKey ik =
+        cache.imageKey(f.x, f.model, {}, {}, 0, 0, nullptr);
+    const ResultCache::Key key = cache.serialRunKey(ik);
+    Emulator::Config big;
+    big.stackBytes *= 2;
+    ResultCache::Record rec;
+    rec.endState.dataMem = initialDataImage(f.x);
+    rec.endState.stackMem.assign(big.stackBytes, 0);
+    rec.endState.stackMem.back() = 1;
+    cache.store(ik, key, {}, rec, f.x);
+
+    ResultCache::Record out;
+    ASSERT_TRUE(cache.lookup(ik, key, f.x, big, out));
+    EXPECT_EQ(out.endState.stackMem, rec.endState.stackMem);
+    EXPECT_FALSE(cache.lookup(ik, key, f.x, {}, out));
+}
+
+TEST(ResultCache, SerialRunRoundtripsThroughDisk)
+{
+    Fixture f;
+    fs::path dir = scratchDir("eel_rescache_serial");
+
+    ResultCache::Record v;
+    v.insts = 12345;
     v.cycles = 67890;
     v.exitCode = 7;
     v.exited = true;
     v.output = std::string("hello\0world", 11);
 
+    // The service's SIMULATE entry: a whole serial run of the image.
+    auto imageKey = [&](ResultCache &cache, const exe::Executable &x,
+                        const TimingSim::Config &tcfg) {
+        return cache.imageKey(x, f.model, tcfg, {}, 0, 0, nullptr);
+    };
     ResultCache::Key key;
     {
         ResultCache cache({dir.string(), nullptr});
-        key = cache.timedKey(f.x, f.model, {}, {});
-        ResultCache::TimedValue out;
-        EXPECT_FALSE(cache.lookupTimed(key, out));
-        cache.storeTimed(key, v);
-        ASSERT_TRUE(cache.lookupTimed(key, out));
+        ResultCache::ImageKey ik = imageKey(cache, f.x, {});
+        key = cache.serialRunKey(ik);
+        ResultCache::Record out;
+        EXPECT_FALSE(cache.lookup(ik, key, f.x, {}, out));
+        cache.store(ik, key, {}, v, f.x);
+        ASSERT_TRUE(cache.lookup(ik, key, f.x, {}, out));
         EXPECT_EQ(out.output, v.output);
+
+        // Its flavor keeps it from answering a sharded run's lookup
+        // of the same image key.
+        EXPECT_FALSE(cache.lookup(ik, ik.run, f.x, {}, out));
 
         // The key covers the image: an edited text page misses.
         exe::Executable edited = f.x;
         edited.text.set(0, f.x.text[0] ^ 1u);
-        EXPECT_FALSE(cache.lookupTimed(
-            cache.timedKey(edited, f.model, {}, {}), out));
+        ResultCache::ImageKey ek = imageKey(cache, edited, {});
+        EXPECT_FALSE(
+            cache.lookup(ek, cache.serialRunKey(ek), edited, {}, out));
         // And so does a different timing config.
         TimingSim::Config icfg;
         icfg.useICache = true;
-        EXPECT_FALSE(cache.lookupTimed(
-            cache.timedKey(f.x, f.model, icfg, {}), out));
+        ResultCache::ImageKey ck = imageKey(cache, f.x, icfg);
+        EXPECT_FALSE(
+            cache.lookup(ck, cache.serialRunKey(ck), f.x, {}, out));
     }
 
     ResultCache reborn({dir.string(), nullptr});
-    ResultCache::TimedValue out;
-    ASSERT_TRUE(reborn.lookupTimed(key, out));
-    EXPECT_EQ(out.instructions, v.instructions);
+    ResultCache::ImageKey ik = imageKey(reborn, f.x, {});
+    ASSERT_TRUE(reborn.serialRunKey(ik) == key);
+    ResultCache::Record out;
+    ASSERT_TRUE(reborn.lookup(ik, key, f.x, {}, out));
+    EXPECT_EQ(out.insts, v.insts);
     EXPECT_EQ(out.cycles, v.cycles);
     EXPECT_EQ(out.exitCode, v.exitCode);
     EXPECT_EQ(out.exited, v.exited);

@@ -37,6 +37,94 @@ loopProgram(int iters, bool dependent)
     return x;
 }
 
+/** A counted loop that prints its counter every iteration, so the
+ *  output spans any slice boundary. */
+exe::Executable
+printingLoop(int iters)
+{
+    exe::Executable x;
+    auto push = [&](isa::Instruction in) {
+        x.text.push_back(isa::encode(in));
+    };
+    push(b::movi(rn::l0, iters));
+    // loop: print l0; add; subcc; bne loop; delay nop.
+    push(b::rri(Op::Add, rn::o0, rn::l0, 0));
+    push(b::ta(isa::trap::put_int));
+    push(b::rri(Op::Add, rn::o1, rn::o1, 1));
+    push(b::rri(Op::Subcc, rn::l0, rn::l0, 1));
+    push(b::bicc(isa::cond::ne, -4));
+    push(b::nop());
+    push(b::movi(rn::o0, 3));
+    push(b::ta(isa::trap::exit_prog));
+    push(b::retl());
+    push(b::nop());
+    x.entry = exe::textBase;
+    x.symbols.push_back(exe::Symbol{
+        "main", exe::textBase,
+        static_cast<uint32_t>(4 * x.text.size()), true});
+    return x;
+}
+
+void
+expectSameRun(const TimedRun &a, const TimedRun &b)
+{
+    EXPECT_EQ(a.result.instructions, b.result.instructions);
+    EXPECT_EQ(a.result.exitCode, b.result.exitCode);
+    EXPECT_EQ(a.result.exited, b.result.exited);
+    EXPECT_EQ(a.result.output, b.result.output);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.issueHistogram, b.issueHistogram);
+    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
+    EXPECT_EQ(a.icacheAccesses, b.icacheAccesses);
+    EXPECT_TRUE(a.stallBreakdown == b.stallBreakdown);
+    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.cancelled, b.cancelled);
+}
+
+TEST(TimingSim, SliceBoundariesAreInvisible)
+{
+    const auto &m = machine::MachineModel::builtin("ultrasparc");
+    exe::Executable x = printingLoop(400);
+    // Many slices, polling a cancel() that never fires, against the
+    // unbudgeted run (one slice), with and without the icache
+    // counters.
+    uint64_t polls = 0;
+    RunBudget sliced;
+    sliced.cancel = [&polls] {
+        ++polls;
+        return false;
+    };
+    sliced.sliceInstructions = 7;
+    for (bool icache : {false, true}) {
+        SCOPED_TRACE(icache ? "icache" : "perfect icache");
+        TimingSim::Config cfg;
+        cfg.collectStalls = true;
+        cfg.useICache = icache;
+
+        TimedRun one = timedRun(x, m, cfg);
+        ASSERT_TRUE(one.result.exited);
+        EXPECT_EQ(one.result.exitCode, 3);
+        EXPECT_GT(one.result.instructions,
+                  100 * sliced.sliceInstructions);
+        EXPECT_FALSE(one.result.output.empty());
+        polls = 0;
+        expectSameRun(timedRun(x, m, sliced, cfg), one);
+        EXPECT_GE(polls, 100u);
+
+        // Stopped by the instruction cap mid-slice.
+        Emulator::Config capped;
+        capped.maxInstructions = 1000;
+        TimedRun cut = timedRun(x, m, cfg, capped);
+        ASSERT_FALSE(cut.result.exited);
+        EXPECT_EQ(cut.result.instructions, 1000u);
+        polls = 0;
+        expectSameRun(timedRun(x, m, sliced, cfg, capped), cut);
+        EXPECT_EQ(polls, 143u);  // 142 full slices, then 6 insts
+    }
+}
+
 TEST(TimingSim, DependentCodeIsSlower)
 {
     const auto &m = machine::MachineModel::builtin("ultrasparc");

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <sys/wait.h>
@@ -21,8 +22,10 @@
 #include <unistd.h>
 #include <vector>
 
+#include "src/eel/batch.hh"
 #include "src/exe/executable.hh"
 #include "src/isa/builder.hh"
+#include "src/machine/model.hh"
 #include "src/support/logging.hh"
 #include "src/svc/client.hh"
 #include "src/svc/server.hh"
@@ -167,10 +170,27 @@ TEST(ServiceProtocol, UnknownImageAndBadArguments)
     rr.machine = "pdp11";
     EXPECT_EQ(c.rewrite(rr).status, Status::BadRequest);
 
-    // Unknown rewrite kind.
+    // Every VariantKind is a rewrite kind, Pipeline (5) the last:
+    // its reply is the direct BatchRewriter variant's bytes.
     rr.machine.clear();
-    rr.kind = 99;
-    EXPECT_EQ(c.rewrite(rr).status, Status::BadRequest);
+    rr.kind = uint8_t(edit::VariantKind::Pipeline);
+    auto pipe = c.rewrite(rr);
+    ASSERT_EQ(pipe.status, Status::Ok) << pipe.message;
+    edit::BatchOptions bopts;
+    bopts.model = &machine::MachineModel::builtin("ultrasparc");
+    const exe::Executable in = exe::Executable::loadBytes(bytes);
+    edit::BatchRewriter direct(in, bopts);
+    EXPECT_EQ(pipe.value.xef,
+              direct.rewriteAll({edit::VariantKind::Pipeline})
+                  .variants.at(0)
+                  .image.saveBytes());
+
+    // Unknown rewrite kinds.
+    for (uint8_t kind : {uint8_t(6), uint8_t(99)}) {
+        rr.kind = kind;
+        EXPECT_EQ(c.rewrite(rr).status, Status::BadRequest)
+            << "kind " << unsigned(kind);
+    }
 
     server.stop();
 }
@@ -320,9 +340,57 @@ TEST(ServiceDeadline, OverBudgetSimulateIsCancelled)
     // scheduling noise, not by the (infinite) program.
     EXPECT_LT(tookMs, deadlineMs + 2000.0);
 
-    // The worker is free again.
+    // The worker is free again, and the cancelled run left nothing
+    // in the result cache to replay to a later client.
     EXPECT_TRUE(c.submit(tinyXef()).ok());
+    EXPECT_EQ(server.rescache().stats().stores, 0u);
     server.stop();
+}
+
+TEST(ServiceCache, TimedSimulateSurvivesRestart)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("eel_svc_rescache_" + std::to_string(getpid()));
+    fs::remove_all(dir);
+    ServerConfig cfg = testConfig();
+    cfg.resultCacheDir = dir.string();
+
+    SimulateRequest sr;
+    sr.timing = 1;
+    auto simulate = [&](bool expectHit) {
+        Server server(cfg);
+        server.start();
+        Client c = Client::dialTcp(server.port());
+        auto sub = c.submit(tinyXef());
+        EXPECT_TRUE(sub.ok());
+        sr.imageId = sub.value.imageId;
+        auto rep = c.simulate(sr);
+        EXPECT_TRUE(rep.ok()) << rep.message;
+        auto st = c.stats();
+        EXPECT_TRUE(st.ok());
+        EXPECT_NE(st.value.find(expectHit ? "\"sim_cache_hits\":1,"
+                                          : "\"sim_cache_hits\":0,"),
+                  std::string::npos)
+            << st.value;
+        EXPECT_EQ(server.rescache().stats().diskHits, expectHit ? 1u : 0u);
+        server.stop();
+        return rep.value;
+    };
+
+    // The first daemon runs the simulation and writes it through;
+    // the second, on the same directory, answers from disk.
+    SimulateReply cold = simulate(false);
+    EXPECT_TRUE(cold.exited);
+    EXPECT_GT(cold.cycles, 0u);
+    SimulateReply warm = simulate(true);
+    EXPECT_EQ(warm.instructions, cold.instructions);
+    EXPECT_EQ(warm.cycles, cold.cycles);
+    EXPECT_EQ(warm.exitCode, cold.exitCode);
+    EXPECT_EQ(warm.exited, cold.exited);
+    EXPECT_EQ(warm.encode(), cold.encode());
+    fs::remove_all(dir);
 }
 
 TEST(ServiceDeadline, QueuedPastDeadlineIsRejected)
