@@ -188,39 +188,28 @@ BENCHMARK(BM_TimedRunNoMemo);
 // each so a future regression can be attributed below the aggregate.
 
 /** Hold-check-only loop: pipeline_stalls on an unstalled add stream
- *  (the no-stall precondition is the whole cost — no commit, no
- *  walk), per engine. */
+ *  (the no-stall segment check is the whole cost — no commit, no
+ *  walk). */
 void
-holdCheckBench(benchmark::State &state, bool simd)
+BM_HoldCheck(benchmark::State &state)
 {
     const auto &m = machine::MachineModel::builtin("ultrasparc");
-    machine::PipelineState st(m, simd);
+    machine::PipelineState st(m);
     machine::ResolvedVariant rv = machine::ResolvedVariant::resolve(
         m, b::rri(isa::Op::Add, 8, 9, 42));
     for (auto _ : state)
         benchmark::DoNotOptimize(st.stalls(rv));
     state.SetItemsProcessed(state.iterations());
 }
-void
-BM_HoldCheckSimd(benchmark::State &state)
-{
-    holdCheckBench(state, true);
-}
-BENCHMARK(BM_HoldCheckSimd);
-void
-BM_HoldCheckScalar(benchmark::State &state)
-{
-    holdCheckBench(state, false);
-}
-BENCHMARK(BM_HoldCheckScalar);
+BENCHMARK(BM_HoldCheck);
 
-/** Full issue loop (check + commit) per hold engine, on the mixed
- *  stalling stream BM_PipelineIssue uses. */
+/** Full issue loop (check + commit) on the mixed stalling stream
+ *  BM_PipelineIssue uses, pre-resolved. */
 void
-issueEngineBench(benchmark::State &state, bool simd)
+BM_IssueResolved(benchmark::State &state)
 {
     const auto &m = machine::MachineModel::builtin("ultrasparc");
-    machine::PipelineState st(m, simd);
+    machine::PipelineState st(m);
     isa::Instruction seq[4] = {
         b::memi(isa::Op::Ld, 8, 16, 0),
         b::rri(isa::Op::Add, 9, 8, 1),
@@ -237,18 +226,7 @@ issueEngineBench(benchmark::State &state, bool simd)
     }
     state.SetItemsProcessed(state.iterations());
 }
-void
-BM_IssueSimdHold(benchmark::State &state)
-{
-    issueEngineBench(state, true);
-}
-BENCHMARK(BM_IssueSimdHold);
-void
-BM_IssueScalarHold(benchmark::State &state)
-{
-    issueEngineBench(state, false);
-}
-BENCHMARK(BM_IssueScalarHold);
+BENCHMARK(BM_IssueResolved);
 
 /** Dispatch-only loop: functional emulation into a null sink, per
  *  dispatch engine. The two differ only in how the interpreter

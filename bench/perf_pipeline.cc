@@ -11,8 +11,9 @@
  * bytes per variant against the eager-copy footprint. Exits nonzero
  * if the parallel table output diverges from the serial one, the
  * sharded cycles diverge from the serial simulator, the batch images
- * differ from the eager pipeline's, or the COW store saves less than
- * 3x memory per variant.
+ * differ from the eager pipeline's, the COW store saves less than
+ * 3x memory per variant, or a cached re-simulation diverges from a
+ * cold one (or a one-byte edit reuses none of the cached shards).
  *
  * With --check <baseline.json>, also compares the fresh throughput
  * numbers against the checked-in baseline and exits nonzero when any
@@ -106,6 +107,50 @@ runsEqual(const sim::ShardedRun &a, const sim::ShardedRun &b)
            a.leaderRetires == b.leaderRetires &&
            a.blocksRetired == b.blocksRetired &&
            a.finalState.equalTo(b.finalState, false);
+}
+
+/**
+ * A nop word on a text page that some but not all shards of
+ * runSharded(x, ..., opts) execute — counting each shard's own
+ * retires plus the warmup replayed before its cut, as the shard
+ * manifests do — or x.text.size() if there is none.
+ */
+size_t
+partlyExecutedNop(const exe::Executable &x, const sim::ShardOptions &opts)
+{
+    struct PageSink final
+    {
+        std::vector<uint32_t> pages;
+        void
+        retire(uint32_t pc, const isa::Instruction &)
+        {
+            pages.push_back((pc - exe::textBase) / exe::Chunk::bytes);
+        }
+    } sink;
+    sim::Emulator emu(x, opts.emu);
+    emu.run(sink);
+    const uint64_t n = sink.pages.size();
+    const uint64_t shards = (n + opts.interval - 1) / opts.interval;
+    std::vector<uint64_t> count(x.text.chunkRefs().size(), 0);
+    std::vector<uint64_t> last(count.size(), ~uint64_t(0));
+    for (uint64_t k = 0; k < shards; ++k) {
+        const uint64_t start = k * opts.interval;
+        const uint64_t hi = std::min(n, start + opts.interval);
+        for (uint64_t i = start - std::min<uint64_t>(start, opts.warmup);
+             i < hi; ++i) {
+            const uint32_t page = sink.pages[i];
+            if (last[page] != k) {
+                last[page] = k;
+                ++count[page];
+            }
+        }
+    }
+    for (size_t w = 0; w < x.text.size(); ++w) {
+        const uint64_t c = count[w * 4 / exe::Chunk::bytes];
+        if (x.text[w] == 0x01000000u && c > 0 && c < shards)
+            return w;
+    }
+    return x.text.size();
 }
 
 std::string
@@ -264,24 +309,31 @@ main(int argc, char **argv)
     double shardedN_minst_per_s = double(insts) / shardedN_s / 1e6;
 
     // --- Incremental re-simulation through the content-addressed
-    // result cache: a cold sharded run populates it, an identical
-    // re-run must come back from its whole-run entry at >= 5x (the claim
-    // the subsystem exists for), and a one-byte edit to a text page
-    // must re-simulate through the shard entries and still be
-    // field-identical to a fresh cold run of the edited image. Both
-    // are hard gates; the speedup and hit rate are published, but
-    // not added to the +/-25% baseline band (warm wall time is
-    // microseconds and would flap).
+    // result cache, on the profiled image: a cold sharded run
+    // populates it, an identical re-run must come back from its
+    // whole-run entry at >= 5x (the claim the subsystem exists for),
+    // and a one-byte edit to a text page must reuse the cached shards
+    // that never execute that page, replay the rest, and still be
+    // field-identical to a fresh cold run of the edited image. The
+    // generated programs fit one or two 1 KiB text pages and call
+    // every kernel in each outer iteration, so only shards shorter
+    // than a kernel call (4096 instructions here) can stay off a page.
+    // All three are hard gates; the speedup and hit rate are
+    // published, but not added to the +/-25% baseline band (warm wall
+    // time is microseconds and would flap).
+    const exe::Executable prof =
+        edit::rewrite(x, routines, plan.plan, edit::EditOptions{});
     sim::ResultCache rescache;
     sim::ShardOptions iopts;
+    iopts.interval = 4096;
     iopts.pool = &poolN;
     iopts.cache = &rescache;
     auto tc = Clock::now();
-    sim::ShardedRun inc_cold = sim::runSharded(x, m, iopts);
+    sim::ShardedRun inc_cold = sim::runSharded(prof, m, iopts);
     double inc_cold_s = elapsed(tc);
     sim::ShardedRun inc_warm;
     double inc_warm_s = bestOf(3, [&] {
-        inc_warm = sim::runSharded(x, m, iopts);
+        inc_warm = sim::runSharded(prof, m, iopts);
     });
     double incremental_speedup =
         inc_warm_s > 0 ? inc_cold_s / inc_warm_s : 0.0;
@@ -290,17 +342,14 @@ main(int argc, char **argv)
 
     // The edit: rewrite one nop's imm22 from 0 to 1 — still a write
     // of the hardwired-zero %g0, so the run is architecturally
-    // unchanged and only the edited page's content hash moves.
-    exe::Executable edited = x;
-    size_t edit_word = edited.text.size();
-    for (size_t w = 0; w < edited.text.size(); ++w)
-        if (edited.text[w] == 0x01000000u) {
-            edited.text.set(w, 0x01000001u);
-            edit_word = w;
-            break;
-        }
-    if (edit_word == edited.text.size())
-        fatal("no nop found to edit in the generated workload");
+    // unchanged and only the edited page's content hash moves. The
+    // nop sits on a page only some shards execute, so the edited run
+    // merges cached and replayed shards.
+    const size_t edit_word = partlyExecutedNop(prof, iopts);
+    if (edit_word == prof.text.size())
+        fatal("no nop on a text page only some shards execute");
+    exe::Executable edited = prof;
+    edited.text.set(edit_word, 0x01000001u);
     sim::ShardedRun inc_edit = sim::runSharded(edited, m, iopts);
     sim::ShardOptions iplain = iopts;
     iplain.cache = nullptr;
@@ -590,6 +639,12 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "FAIL: cached/incremental simulation output "
                      "differs from a cold run\n");
+        return 1;
+    }
+    if (inc_edit.stats.cachedShards == 0) {
+        std::fprintf(stderr,
+                     "FAIL: a one-byte edit reused none of the %zu "
+                     "cached shards\n", inc_edit.stats.shards);
         return 1;
     }
     if (incremental_speedup < 5.0) {

@@ -1,11 +1,8 @@
 #include "src/machine/model.hh"
 
 #include <algorithm>
-#include <climits>
 #include <map>
 #include <mutex>
-
-#include "src/machine/holdvec.hh"
 
 #include "src/support/logging.hh"
 
@@ -105,23 +102,6 @@ Variant::buildHolds(unsigned num_units)
         }
         if (level != 0)
             panic("buildHolds: unbalanced unit %u", u);
-    }
-
-    // The padded per-cycle matrices the vectorized pipeline fast
-    // paths consume (see the member comment in model.hh).
-    holdStride = paddedUnits(num_units);
-    holdRows = 0;
-    for (const UnitHold &h : holds)
-        holdRows = std::max(holdRows, static_cast<unsigned>(h.to));
-    holdMin.assign(static_cast<size_t>(holdRows) * holdStride,
-                   INT16_MIN);
-    holdUse.assign(static_cast<size_t>(holdRows) * holdStride, 0);
-    for (const UnitHold &h : holds) {
-        for (unsigned c = h.from; c < h.to; ++c) {
-            size_t at = static_cast<size_t>(c) * holdStride + h.unit;
-            holdMin[at] = h.num;
-            holdUse[at] = h.num;
-        }
     }
 }
 

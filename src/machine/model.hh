@@ -68,23 +68,6 @@ struct Variant
     /// Constant-level unit occupancy segments (see UnitHold).
     std::vector<UnitHold> holds;
 
-    /// Vectorizable restatement of `holds`, one padded int16 row per
-    /// pipeline cycle (stride = paddedUnits(num_units), see
-    /// src/machine/holdvec.hh). Row k covers pipeline cycle k for
-    /// k < holdRows (the last cycle any hold covers, so latency-long
-    /// variants with short holds pay only for the held prefix).
-    /// holdMin[k*stride + u] is the free count unit u must show for
-    /// the instruction to pass cycle k's structural check, INT16_MIN
-    /// where nothing is held (a lane that can never block);
-    /// holdUse[k*stride + u] is the number of copies of u occupied
-    /// during cycle k, 0 where none. The segments are non-overlapping
-    /// per unit, so both are exact per-cycle restatements usable as
-    /// one vector compare/subtract per cycle.
-    std::vector<int16_t> holdMin;
-    std::vector<int16_t> holdUse;
-    unsigned holdStride = 0;
-    unsigned holdRows = 0;
-
     /// Flattened copies of acquire/release for the per-retire hot
     /// loop: cycle c's events are evFlat[evOff[c] .. evOff[c+1]),
     /// one contiguous array instead of a vector-of-vectors walk.

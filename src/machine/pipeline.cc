@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/obs/metrics.hh"
 #include "src/support/logging.hh"
 
 namespace eel::machine {
@@ -50,18 +49,14 @@ ResolvedVariant::resolve(const MachineModel &model,
     return resolve(model.variant(inst), inst);
 }
 
-PipelineState::PipelineState(const MachineModel &model, bool simd_holds)
-    : _model(model), numUnits(model.numUnits()),
-      rowStride(paddedUnits(model.numUnits())), simdHold(simd_holds)
+PipelineState::PipelineState(const MachineModel &model)
+    : _model(model), numUnits(model.numUnits())
 {
-    // Rows are padded to the vector lane width; pad lanes stay zero
-    // in capInit (and therefore in every re-initialized slot), which
-    // the row primitives rely on being inert.
-    capInit.assign(rowStride, 0);
+    capInit.resize(numUnits);
     for (unsigned u = 0; u < numUnits; ++u)
         capInit[u] = static_cast<int16_t>(model.unitCapacity(u));
     slotStamp.assign(windowSize, ~uint64_t(0));
-    slotFree.assign(static_cast<size_t>(windowSize) * rowStride, 0);
+    slotFree.assign(static_cast<size_t>(windowSize) * numUnits, 0);
     lastRead.assign(isa::numRegIds, 0);
     lastWrite.assign(isa::numRegIds, 0);
     writeAvail.assign(isa::numRegIds, 0);
@@ -80,30 +75,15 @@ PipelineState::reset()
     frontierCycle = 0;
 }
 
-PipelineState::Snapshot
-PipelineState::snapshot() const
+bool
+PipelineState::RebasedPipe::fits(unsigned num_units) const
 {
-    return Snapshot{slotStamp, slotFree, lastRead, lastWrite,
-                    writeAvail, frontierCycle};
-}
-
-void
-PipelineState::restore(const Snapshot &s)
-{
-    if (s.slotFree.size() != slotFree.size() ||
-        s.lastRead.size() != lastRead.size())
-        panic("PipelineState::restore: snapshot from a different "
-              "machine model");
-    slotStamp = s.slotStamp;
-    slotFree = s.slotFree;
-    lastRead = s.lastRead;
-    lastWrite = s.lastWrite;
-    writeAvail = s.writeAvail;
-    frontierCycle = s.frontierCycle;
-    maxStamped = 0;
-    for (uint64_t stamp : slotStamp)
-        if (stamp != ~uint64_t(0) && stamp > maxStamped)
-            maxStamped = stamp;
+    return rowFree.size() == rowAt.size() * num_units &&
+           regVals.size() == regs.size() * 3 &&
+           std::all_of(rowAt.begin(), rowAt.end(),
+                       [](uint64_t at) { return at < windowSize; }) &&
+           std::all_of(regs.begin(), regs.end(),
+                       [](uint32_t r) { return r < isa::numRegIds; });
 }
 
 void
@@ -112,29 +92,35 @@ PipelineState::captureRebased(RebasedPipe &out) const
     out.clear();
     const uint64_t d = frontierCycle;
 
-    // Live rows, ascending by cycle. The canonicalization matches
-    // appendNormalizedKey(): dead rows (frontier passed them) and
-    // full-capacity rows (bit-identical to a lazy re-init) are
-    // dropped. The scan walks cycles, not slots, so it touches
-    // [d, maxStamped] instead of the whole ring.
+    // Live rows, ascending by cycle. Future instructions enter at
+    // cycles >= d (simulate() starts at the frontier and abs only
+    // advances), so rows stamped before d are dead; live rows equal
+    // to full capacity are indistinguishable from untouched slots
+    // (initSlot would recreate them bit-identically). Both are
+    // dropped to canonicalize. The scan walks cycles, not slots, so
+    // it touches [d, maxStamped] instead of the whole ring.
     const uint64_t top =
         std::min(maxStamped, d + windowSize - 1);
     for (uint64_t c = d; c <= top; ++c) {
         const unsigned slot = static_cast<unsigned>(c % windowSize);
         if (slotStamp[slot] != c)
             continue;
-        const int16_t *row = &slotFree[size_t(slot) * rowStride];
+        const int16_t *row = &slotFree[size_t(slot) * numUnits];
         if (std::memcmp(row, capInit.data(),
                         numUnits * sizeof(int16_t)) == 0)
             continue;
         out.rowAt.push_back(c - d);
-        out.rowFree.insert(out.rowFree.end(), row, row + rowStride);
+        out.rowFree.insert(out.rowFree.end(), row, row + numUnits);
     }
 
-    // Registers with any value that can still bind, as the same
-    // canonical rebased triples appendNormalizedKey() emits (see the
-    // inertness thresholds there), but sparse: inert-everywhere
-    // registers are omitted entirely.
+    // Registers with any value that can still bind, rebased to d
+    // with inert values mapped to 0; inert-everywhere registers are
+    // omitted. A value is inert when the hazard check it feeds can no
+    // longer fire for any abs >= d: RAW needs abs < writeAvail (inert
+    // <= d), WAW needs abs < lastWrite (inert <= d), WAR needs
+    // abs + 1 < lastRead (inert <= d + 1). commit() only max()es
+    // these upward with values > d, so an inert value also never
+    // influences later state.
     for (uint32_t r = 0; r < lastRead.size(); ++r) {
         const uint64_t lr = lastRead[r] > d + 1 ? lastRead[r] - d : 0;
         const uint64_t lw = lastWrite[r] > d ? lastWrite[r] - d : 0;
@@ -159,12 +145,12 @@ PipelineState::applyRebased(const RebasedPipe &p, uint64_t frontierDelta)
     // (rows only lose capacity, so a live row stays live) or were
     // full-capacity on both sides, which lazy re-init reproduces.
     const int16_t *free = p.rowFree.data();
-    for (size_t i = 0; i < p.rowAt.size(); ++i, free += rowStride) {
+    for (size_t i = 0; i < p.rowAt.size(); ++i, free += numUnits) {
         const uint64_t c = d1 + p.rowAt[i];
         const unsigned slot = static_cast<unsigned>(c % windowSize);
         slotStamp[slot] = c;
-        std::memcpy(&slotFree[size_t(slot) * rowStride], free,
-                    rowStride * sizeof(int16_t));
+        std::memcpy(&slotFree[size_t(slot) * numUnits], free,
+                    numUnits * sizeof(int16_t));
         if (c > maxStamped)
             maxStamped = c;
     }
@@ -189,55 +175,11 @@ PipelineState::applyRebased(const RebasedPipe &p, uint64_t frontierDelta)
 }
 
 void
-PipelineState::appendNormalizedKey(std::vector<uint64_t> &out) const
-{
-    const uint64_t d = frontierCycle;
-
-    // Unit ring: future instructions enter at cycles >= d (simulate()
-    // starts at the frontier and abs only advances), so rows stamped
-    // before d are dead. Live rows equal to full capacity are
-    // indistinguishable from untouched slots (initSlot would recreate
-    // them bit-identically) and are dropped to canonicalize. The rest
-    // are emitted rebased to d, in ascending cycle order.
-    std::vector<std::pair<uint64_t, unsigned>> live;
-    for (unsigned s = 0; s < windowSize; ++s) {
-        uint64_t stamp = slotStamp[s];
-        if (stamp == ~uint64_t(0) || stamp < d)
-            continue;
-        if (std::memcmp(&slotFree[s * rowStride], capInit.data(),
-                        numUnits * sizeof(int16_t)) == 0)
-            continue;
-        live.emplace_back(stamp - d, s);
-    }
-    std::sort(live.begin(), live.end());
-    out.push_back(live.size());
-    for (const auto &[at, s] : live) {
-        out.push_back(at);
-        for (unsigned u = 0; u < numUnits; ++u)
-            out.push_back(static_cast<uint16_t>(
-                slotFree[s * rowStride + u]));
-    }
-
-    // Register history, rebased to d with inert values mapped to 0.
-    // A value is inert when the hazard check it feeds can no longer
-    // fire for any abs >= d: RAW needs abs < writeAvail (inert <= d),
-    // WAW needs abs < lastWrite (inert <= d), WAR needs abs + 1 <
-    // lastRead (inert <= d + 1). commit() only max()es these upward
-    // with values > d, so an inert value also never influences later
-    // state.
-    for (size_t r = 0; r < lastRead.size(); ++r) {
-        out.push_back(lastRead[r] > d + 1 ? lastRead[r] - d : 0);
-        out.push_back(lastWrite[r] > d ? lastWrite[r] - d : 0);
-        out.push_back(writeAvail[r] > d ? writeAvail[r] - d : 0);
-    }
-}
-
-void
 PipelineState::initSlot(uint64_t c, unsigned slot) const
 {
     slotStamp[slot] = c;
-    std::memcpy(&slotFree[slot * rowStride], capInit.data(),
-                rowStride * sizeof(int16_t));
+    std::memcpy(&slotFree[slot * numUnits], capInit.data(),
+                numUnits * sizeof(int16_t));
     if (c > maxStamped)
         maxStamped = c;
 }
@@ -248,22 +190,7 @@ PipelineState::rowFor(uint64_t c) const
     unsigned slot = static_cast<unsigned>(c % windowSize);
     if (slotStamp[slot] != c)
         initSlot(c, slot);
-    return &slotFree[slot * rowStride];
-}
-
-void
-PipelineState::flushSimdMetrics() const
-{
-    static obs::Metric mBlocks("simd.hold_blocks",
-                               obs::MetricKind::Counter);
-    static obs::Metric mClean("simd.clean_issues",
-                              obs::MetricKind::Counter);
-    if (_simdBlocks)
-        mBlocks.add(_simdBlocks);
-    if (_fastIssues)
-        mClean.add(_fastIssues);
-    _simdBlocks = 0;
-    _fastIssues = 0;
+    return &slotFree[slot * numUnits];
 }
 
 namespace {
@@ -300,8 +227,8 @@ PipelineState::simulate(uint64_t entry_cycle, const ResolvedVariant &rv,
     if (abs_for.size() < v.latency + 1)
         abs_for.resize(v.latency + 1);
 
-    // Fast path: most dynamic instructions advance unstalled, and
-    // that case has a closed-form precondition — every hazard check
+    // No-stall check: most dynamic instructions advance unstalled,
+    // and that case has a closed-form precondition — every hazard check
     // of the walk below, evaluated at abs = entry_cycle + cycle. The
     // structural condition is phrased over the constant-level hold
     // segments (free >= level across the segment), which is at least
@@ -459,16 +386,6 @@ PipelineState::IssueResult
 PipelineState::issue(const isa::Instruction &inst)
 {
     return issue(ResolvedVariant::resolve(_model, inst));
-}
-
-PipelineState::IssueResult
-PipelineState::issueSlow(const ResolvedVariant &rv,
-                         obs::StallBreakdown *why)
-{
-    unsigned s = simulate(frontierCycle, rv, scratchAbsFor, why);
-    commit(rv, scratchAbsFor);
-    return IssueResult{scratchAbsFor[0],
-                       scratchAbsFor[rv.variant->latency], s};
 }
 
 void

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/isa/instruction.hh"
-#include "src/machine/holdvec.hh"
 #include "src/machine/model.hh"
 #include "src/obs/stall.hh"
 
@@ -75,18 +74,7 @@ struct ResolvedVariant
 class PipelineState
 {
   public:
-    /**
-     * simd_holds selects the vectorized structural-hazard fast path:
-     * unstalled instructions (the vast majority) check and commit
-     * their unit holds as one padded-row compare/subtract per
-     * pipeline cycle (src/machine/holdvec.hh) instead of walking
-     * hold segments cycle-by-cycle. Both settings produce identical
-     * stall counts, issue cycles, reasons and normalized keys for
-     * every instruction sequence — the flag exists so differential
-     * tests can pin either engine; leave it defaulted otherwise.
-     */
-    explicit PipelineState(const MachineModel &model,
-                           bool simd_holds = true);
+    explicit PipelineState(const MachineModel &model);
 
     /** Forget all history; the pipeline is empty at cycle 0. */
     void reset();
@@ -145,54 +133,39 @@ class PipelineState
     void fetchBubble(unsigned n) { frontierCycle += n; }
 
     /**
-     * Full copy of the hazard history (unit ring + register cycles +
-     * frontier), in absolute cycles. restore() on a PipelineState of
-     * the same machine model continues exactly where the snapshotted
-     * one stood — the sharded simulator uses this to hand a shard's
-     * end state to its successor when warmup validation fails.
-     */
-    struct Snapshot
-    {
-        std::vector<uint64_t> slotStamp;
-        std::vector<int16_t> slotFree;
-        std::vector<uint64_t> lastRead, lastWrite, writeAvail;
-        uint64_t frontierCycle = 0;
-    };
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
-
-    /**
-     * Append a translation-invariant encoding of the state that can
-     * affect any *future* issue. Two states with equal keys produce
-     * identical stall counts, reasons and relative issue cycles for
-     * every subsequent instruction sequence, even if their absolute
-     * cycle origins differ (all hazard checks compare cycles >= the
-     * frontier, so history is rebased to it and cycles that can no
-     * longer bind are canonicalized to 0).
-     */
-    void appendNormalizedKey(std::vector<uint64_t> &out) const;
-
-    /**
-     * The same normalized content as appendNormalizedKey(), in a
-     * sparse applyable form: the live (non-full-capacity) unit rows
-     * rebased to the frontier, and the registers whose hazard values
-     * can still bind, as canonicalized rebased triples. This is both
-     * the match key and the transported end state of the timing
-     * simulator's trace memo — by the invariant above, two states
-     * with equal captures time any future stream identically, so a
-     * capture taken after a replayed trace can be re-applied wherever
-     * the same entry capture recurs.
+     * The state that can affect any *future* issue, rebased to the
+     * frontier: the live (non-full-capacity) unit rows, and the
+     * registers whose hazard values can still bind, as canonicalized
+     * rebased triples. All hazard checks compare cycles >= the
+     * frontier, so history before it is dropped and register values
+     * that can no longer bind are canonicalized to 0. Two states with
+     * equal captures therefore produce identical stall counts,
+     * reasons and relative issue cycles for every subsequent
+     * instruction sequence, even if their absolute cycle origins
+     * differ. This is the only encoding of timing state: the trace
+     * memo in sim::TimingSim matches and transports it, and the
+     * sharded stitch compares and hands it off.
      */
     struct RebasedPipe
     {
         std::vector<uint64_t> rowAt;    ///< live cycle - frontier
-        std::vector<int16_t> rowFree;   ///< rowStride lanes per row
+        std::vector<int16_t> rowFree;   ///< numUnits free counts per row
         std::vector<uint32_t> regs;     ///< flat ids, ascending
         std::vector<uint64_t> regVals;  ///< 3 per reg: lr/lw/wa
 
         /** The canonicalization makes this semantic: equal captures
-         *  <=> equal normalized keys <=> same future timing. */
+         *  <=> same future timing. */
         bool operator==(const RebasedPipe &) const = default;
+
+        /**
+         * Whether applyRebased() can index every part inside a state
+         * of a model with num_units units: register ids below
+         * isa::numRegIds, three values per register, num_units free
+         * counts per row and row offsets inside the unit ring. A
+         * capture decoded from outside the process (a cache file) is
+         * checked with this before it is applied.
+         */
+        bool fits(unsigned num_units) const;
 
         void
         clear()
@@ -208,12 +181,14 @@ class PipelineState
     /**
      * Jump the state to a previously captured end state: the frontier
      * advances by frontierDelta and the capture's rows/registers are
-     * written rebased to the new frontier. Only valid when the
-     * current state's captureRebased() equals the one taken at the
-     * capture's recording entry — see the trace memo in
-     * sim::TimingSim. Rows the frontier moved past and registers that
-     * went inert are left untouched; both are canonicalized away by
-     * every hazard check and by captureRebased() itself.
+     * written rebased to the new frontier. Valid when the current
+     * state's captureRebased() equals the one taken where the capture
+     * was recorded (the trace memo in sim::TimingSim), or when nothing
+     * is live (a fresh or reset() state at any frontier: a handoff,
+     * after which the state captures equal to p). Rows the frontier
+     * moved past and registers that went inert are left untouched;
+     * both are canonicalized away by every hazard check and by
+     * captureRebased() itself.
      */
     void applyRebased(const RebasedPipe &p, uint64_t frontierDelta);
 
@@ -222,20 +197,7 @@ class PipelineState
 
     const MachineModel &model() const { return _model; }
 
-    /** True when this state runs the vectorized hold fast path. */
-    bool simdHolds() const { return simdHold; }
-
-    /**
-     * Padded hold-matrix rows processed by the vectorized fast path
-     * since the last flush; flushSimdMetrics() folds the count into
-     * the "simd.hold_blocks" obs counter and resets it.
-     */
-    uint64_t simdHoldBlocks() const { return _simdBlocks; }
-    void flushSimdMetrics() const;
-
   private:
-    struct Trace;
-
     /**
      * Core of Appendix A: walk the resolved instruction through its
      * pipeline cycles from entry_cycle, counting stalls. abs_for[k]
@@ -250,107 +212,25 @@ class PipelineState
     void commit(const ResolvedVariant &rv,
                 const std::vector<uint64_t> &abs_for);
 
-    /** The walk-then-commit path issue() takes when the vectorized
-     *  clean check fails (or is disabled). */
-    IssueResult issueSlow(const ResolvedVariant &rv,
-                          obs::StallBreakdown *why);
-
-    /**
-     * Closed-form no-stall precondition over the padded hold
-     * matrices: every register hazard check and every per-cycle
-     * structural check of the Appendix A walk, evaluated at
-     * abs = entry + cycle. Passing guarantees the walk would advance
-     * every cycle (zero stalls). Purely a read — unlike the scalar
-     * walk it does not lazily re-initialize ring slots, it compares
-     * stale slots against the full-capacity row instead.
-     */
-    bool fastClean(uint64_t entry, const ResolvedVariant &rv) const
-    {
-        for (unsigned i = 0; i < rv.nReads; ++i) {
-            const ResolvedVariant::Read &a = rv.reads[i];
-            if (entry + a.cycle < writeAvail[a.reg])
-                return false;
-        }
-        for (unsigned i = 0; i < rv.nWrites; ++i) {
-            const ResolvedVariant::Write &a = rv.writes[i];
-            if (entry + a.cycle + 1 < lastRead[a.reg] ||
-                entry + a.cycle < lastWrite[a.reg])
-                return false;
-        }
-        const Variant &v = *rv.variant;
-        const int16_t *req = v.holdMin.data();
-        for (unsigned k = 0; k < v.holdRows; ++k, req += rowStride) {
-            const uint64_t c = entry + k;
-            const unsigned slot = static_cast<unsigned>(c % windowSize);
-            const int16_t *row =
-                slotStamp[slot] == c
-                    ? &slotFree[static_cast<size_t>(slot) * rowStride]
-                    : capInit.data();
-            if (holdRowBlocked(row, req, rowStride))
-                return false;
-        }
-        return true;
-    }
-
-    /**
-     * Commit an instruction that fastClean() admitted at `entry`:
-     * one row subtract per held cycle plus the register history
-     * updates, equivalent to commit() with abs_for[k] = entry + k.
-     */
-    void commitFast(uint64_t entry, const ResolvedVariant &rv)
-    {
-        const Variant &v = *rv.variant;
-        const int16_t *use = v.holdUse.data();
-        for (unsigned k = 0; k < v.holdRows; ++k, use += rowStride) {
-            const uint64_t c = entry + k;
-            const unsigned slot = static_cast<unsigned>(c % windowSize);
-            if (slotStamp[slot] != c)
-                initSlot(c, slot);
-            holdRowSub(&slotFree[static_cast<size_t>(slot) * rowStride],
-                       use, rowStride);
-        }
-        _simdBlocks += v.holdRows;
-        ++_fastIssues;
-        for (unsigned i = 0; i < rv.nReads; ++i) {
-            const ResolvedVariant::Read &a = rv.reads[i];
-            lastRead[a.reg] =
-                std::max(lastRead[a.reg], entry + a.cycle + 1);
-        }
-        for (unsigned i = 0; i < rv.nWrites; ++i) {
-            const ResolvedVariant::Write &a = rv.writes[i];
-            lastWrite[a.reg] =
-                std::max(lastWrite[a.reg], entry + a.cycle + 1);
-            writeAvail[a.reg] =
-                std::max(writeAvail[a.reg], entry + a.ready + 1);
-        }
-        frontierCycle = entry;
-    }
-
     /** Free-count row for absolute cycle c (lazy slot reinit). */
     int16_t *rowFor(uint64_t c) const;
     void initSlot(uint64_t c, unsigned slot) const;
 
     const MachineModel &_model;
     unsigned numUnits;
-    unsigned rowStride;   ///< paddedUnits(numUnits) int16 lanes
-    bool simdHold;
     std::vector<int16_t> capInit;  ///< unit capacities, slot reinit
-                                   ///< (rowStride lanes, pads zero)
 
     // Ring buffer of per-cycle free unit counts. Slots are stamped
     // with the absolute cycle they represent and re-initialized to
     // full capacity on first touch of a new cycle.
     static constexpr unsigned windowSize = 256;
     mutable std::vector<uint64_t> slotStamp;   // windowSize
-    mutable std::vector<int16_t> slotFree;     // windowSize * rowStride
+    mutable std::vector<int16_t> slotFree;     // windowSize * numUnits
 
     /** Highest cycle any slot is stamped with (monotone over-
      *  approximation); bounds captureRebased()'s live-row scan to
      *  [frontier, maxStamped] instead of the whole ring. */
     mutable uint64_t maxStamped = 0;
-
-    mutable uint64_t _simdBlocks = 0;  ///< see simdHoldBlocks()
-    mutable uint64_t _fastIssues = 0;  ///< commitFast issue count
 
     // Register history, indexed by RegId::flat(). Values are
     // "absolute cycle + 1" so 0 means "never".
@@ -377,17 +257,14 @@ class PipelineState
 
 // The pre-resolved entry points run once per dynamic instruction in
 // the timing simulator and once per candidate scan step in the
-// scheduler; they are defined inline so the no-stall fast path
-// (fastClean + commitFast, a handful of compares and row ops) inlines
-// into those loops and only stalled instructions pay for a call into
-// the exact Appendix A walk.
+// scheduler; they are defined inline so those loops call simulate()
+// (whose no-stall segment check settles most instructions before the
+// exact Appendix A walk) and commit() directly.
 
 inline unsigned
 PipelineState::stalls(const ResolvedVariant &rv,
                       obs::StallBreakdown *why) const
 {
-    if (simdHold && fastClean(frontierCycle, rv))
-        return 0;
     return simulate(frontierCycle, rv, scratchAbsFor, why);
 }
 
@@ -395,20 +272,16 @@ inline unsigned
 PipelineState::stallsAt(uint64_t cycle, const ResolvedVariant &rv,
                         obs::StallBreakdown *why) const
 {
-    if (simdHold && fastClean(cycle, rv))
-        return 0;
     return simulate(cycle, rv, scratchAbsFor, why);
 }
 
 inline PipelineState::IssueResult
 PipelineState::issue(const ResolvedVariant &rv, obs::StallBreakdown *why)
 {
-    const uint64_t entry = frontierCycle;
-    if (simdHold && fastClean(entry, rv)) {
-        commitFast(entry, rv);
-        return IssueResult{entry, entry + rv.variant->latency, 0};
-    }
-    return issueSlow(rv, why);
+    const unsigned s = simulate(frontierCycle, rv, scratchAbsFor, why);
+    commit(rv, scratchAbsFor);
+    return IssueResult{scratchAbsFor[0],
+                       scratchAbsFor[rv.variant->latency], s};
 }
 
 /**

@@ -259,7 +259,7 @@ loopBounds(const InstSeq &code, const machine::MachineModel &model,
     // Edge weights are NOT the scheduler's conservative minDist —
     // they are the entry separations PipelineState actually
     // enforces, read off the resolved variants' register access
-    // cycles (the same checks fastClean/simulate apply). Anything
+    // cycles (the same checks its simulate() applies). Anything
     // stronger is unsound against the measured steady-state metric:
     // a store's data register is read late in its pipeline, and
     // memory ordering costs nothing at all in the model, so charging

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -105,23 +106,18 @@ struct Enc
     {
         s.append(static_cast<const char *>(p), n);
     }
-    void u8(uint8_t v) { raw(&v, 1); }
+    /** n-byte little-endian unsigned integer. */
     void
-    u32(uint32_t v)
-    {
-        uint8_t b[4];
-        for (int i = 0; i < 4; ++i)
-            b[i] = uint8_t(v >> (8 * i));
-        raw(b, 4);
-    }
-    void
-    u64(uint64_t v)
+    le(uint64_t v, unsigned n)
     {
         uint8_t b[8];
-        for (int i = 0; i < 8; ++i)
+        for (unsigned i = 0; i < n; ++i)
             b[i] = uint8_t(v >> (8 * i));
-        raw(b, 8);
+        raw(b, n);
     }
+    void u8(uint8_t v) { raw(&v, 1); }
+    void u32(uint32_t v) { le(v, 4); }
+    void u64(uint64_t v) { le(v, 8); }
     void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
     void ub(bool v) { u8(v ? 1 : 0); }
     void
@@ -136,22 +132,14 @@ struct Enc
         u64(v.size());
         raw(v.data(), v.size());
     }
+    /** Count-prefixed integers, each at its own width. */
+    template <class T>
     void
-    v64(const std::vector<uint64_t> &v)
+    vec(const std::vector<T> &v)
     {
         u64(v.size());
-        for (uint64_t x : v)
-            u64(x);
-    }
-    void
-    v16(const std::vector<int16_t> &v)
-    {
-        u64(v.size());
-        for (int16_t x : v) {
-            const uint16_t w = static_cast<uint16_t>(x);
-            const uint8_t b[2] = {uint8_t(w), uint8_t(w >> 8)};
-            raw(b, 2);
-        }
+        for (T x : v)
+            le(static_cast<std::make_unsigned_t<T>>(x), sizeof(T));
     }
 };
 
@@ -175,35 +163,21 @@ struct Dec
         }
         return true;
     }
-    uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return *p++;
-    }
-    uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t(p[i]) << (8 * i);
-        p += 4;
-        return v;
-    }
+    /** n-byte little-endian unsigned integer. */
     uint64_t
-    u64()
+    le(unsigned n)
     {
-        if (!need(8))
+        if (!need(n))
             return 0;
         uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
+        for (unsigned i = 0; i < n; ++i)
             v |= uint64_t(p[i]) << (8 * i);
-        p += 8;
+        p += n;
         return v;
     }
+    uint8_t u8() { return uint8_t(le(1)); }
+    uint32_t u32() { return uint32_t(le(4)); }
+    uint64_t u64() { return le(8); }
     int32_t i32() { return static_cast<int32_t>(u32()); }
     bool
     ub()
@@ -233,32 +207,18 @@ struct Dec
         p += n;
         return v;
     }
-    std::vector<uint64_t>
-    v64()
+    template <class T>
+    std::vector<T>
+    vec()
     {
         uint64_t n = u64();
-        if (!ok || n > size_t(e - p) / 8) {
+        if (!ok || n > size_t(e - p) / sizeof(T)) {
             ok = false;
             return {};
         }
-        std::vector<uint64_t> v(n);
-        for (auto &x : v)
-            x = u64();
-        return v;
-    }
-    std::vector<int16_t>
-    v16()
-    {
-        uint64_t n = u64();
-        if (!ok || n > size_t(e - p) / 2) {
-            ok = false;
-            return {};
-        }
-        std::vector<int16_t> v(n);
-        for (auto &x : v) {
-            x = static_cast<int16_t>(uint16_t(p[0] | p[1] << 8));
-            p += 2;
-        }
+        std::vector<T> v(n);
+        for (T &x : v)
+            x = static_cast<T>(le(sizeof(T)));
         return v;
     }
     bool done() const { return ok && p == e; }
@@ -281,16 +241,14 @@ getBreakdown(Dec &d, obs::StallBreakdown &b)
 void
 putTiming(Enc &o, const TimingSim::State &t)
 {
-    o.v64(t.pipe.slotStamp);
-    o.v16(t.pipe.slotFree);
-    o.v64(t.pipe.lastRead);
-    o.v64(t.pipe.lastWrite);
-    o.v64(t.pipe.writeAvail);
-    o.u64(t.pipe.frontierCycle);
-    o.u64(t.cycles);
+    o.vec(t.pipe.rowAt);
+    o.vec(t.pipe.rowFree);
+    o.vec(t.pipe.regs);
+    o.vec(t.pipe.regVals);
+    o.u64(t.cyclesLead);
     o.u32(t.prevPc);
     o.ub(t.havePrev);
-    o.u64(t.curStart);
+    o.u64(t.curStartLead);
     o.u32(t.curCount);
     o.ub(t.haveCur);
 }
@@ -298,16 +256,14 @@ putTiming(Enc &o, const TimingSim::State &t)
 void
 getTiming(Dec &d, TimingSim::State &t)
 {
-    t.pipe.slotStamp = d.v64();
-    t.pipe.slotFree = d.v16();
-    t.pipe.lastRead = d.v64();
-    t.pipe.lastWrite = d.v64();
-    t.pipe.writeAvail = d.v64();
-    t.pipe.frontierCycle = d.u64();
-    t.cycles = d.u64();
+    t.pipe.rowAt = d.vec<uint64_t>();
+    t.pipe.rowFree = d.vec<int16_t>();
+    t.pipe.regs = d.vec<uint32_t>();
+    t.pipe.regVals = d.vec<uint64_t>();
+    t.cyclesLead = d.u64();
     t.prevPc = d.u32();
     t.havePrev = d.ub();
-    t.curStart = d.u64();
+    t.curStartLead = d.u64();
     t.curCount = d.u32();
     t.haveCur = d.ub();
 }
@@ -424,7 +380,7 @@ putRecord(Enc &o, const ResultCache::Record &r, const exe::Executable &x)
 {
     o.u64(r.cycles);
     o.u64(r.insts);
-    o.v64(r.hist);
+    o.vec(r.hist);
     putBreakdown(o, r.breakdown);
     o.u64(r.stallCycles);
     o.u64(r.blocks);
@@ -439,8 +395,7 @@ putRecord(Enc &o, const ResultCache::Record &r, const exe::Executable &x)
         }
     o.blob(r.output);
     putArch(o, r.endState, x);
-    o.v64(r.startKey);
-    o.v64(r.endKey);
+    putTiming(o, r.startTiming);
     putTiming(o, r.endTiming);
     o.i32(r.exitCode);
     o.ub(r.exited);
@@ -460,7 +415,7 @@ getRecord(Dec &d, ResultCache::Record &r, const exe::Executable *x,
 {
     r.cycles = d.u64();
     r.insts = d.u64();
-    r.hist = d.v64();
+    r.hist = d.vec<uint64_t>();
     getBreakdown(d, r.breakdown);
     r.stallCycles = d.u64();
     r.blocks = d.u64();
@@ -469,8 +424,7 @@ getRecord(Dec &d, ResultCache::Record &r, const exe::Executable *x,
     r.output = d.blob();
     MemDelta data, stack;
     const bool present = getArch(d, r.endState, data, stack);
-    r.startKey = d.v64();
-    r.endKey = d.v64();
+    getTiming(d, r.startTiming);
     getTiming(d, r.endTiming);
     r.exitCode = d.i32();
     r.exited = d.ub();
@@ -511,6 +465,8 @@ hex(uint64_t v)
 }
 
 constexpr char kMagic[6] = {'E', 'E', 'L', 'R', 'C', '1'};
+/** Magic, u32 version, u64 payload length. */
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
 
 } // namespace
 
@@ -535,8 +491,8 @@ namespace {
 
 /** Everything besides page contents and machine state that affects
  *  a timing run's output. Engine-selection knobs (dispatch,
- *  simdHold, traceMemo) are proven output-invariant by the
- *  differential fuzz oracle and deliberately excluded. */
+ *  traceMemo) are proven output-invariant by the differential fuzz
+ *  oracle and deliberately excluded. */
 void
 hashFingerprint(H2 &h, const machine::MachineModel &model,
                 const TimingSim::Config &tcfg,
@@ -634,6 +590,7 @@ ResultCache::imageKey(const exe::Executable &x,
 
     ImageKey k;
     k.base = h.key();
+    k.units = model.numUnits();
 
     // Text identity extends the base into the whole-image run key;
     // shard keys see text only through their touched-page manifests.
@@ -669,8 +626,8 @@ ResultCache::shardKeyWarm(const ImageKey &k, const Checkpoint *cp,
 
 ResultCache::Key
 ResultCache::shardKeyHandoff(const ImageKey &k, const Checkpoint *cp,
-                             const std::vector<uint64_t> &entryKey,
-                             uint64_t len, bool isLast) const
+                             const TimingSim::State &entry, uint64_t len,
+                             bool isLast) const
 {
     H2 h;
     h.u64(k.base.a);
@@ -682,10 +639,11 @@ ResultCache::shardKeyHandoff(const ImageKey &k, const Checkpoint *cp,
         hashCheckpointState(h, *cp);
     else
         h.u64(0x5ead0000);
-    // The normalized key, not the raw snapshot: equal keys time any
-    // future stream identically (appendNormalizedKey's invariant),
-    // and the raw snapshot is not translation-invariant.
-    h.v64(entryKey);
+    // The rebased state in its record encoding, issue-group fields
+    // included: the record's histogram depends on them.
+    Enc state;
+    putTiming(state, entry);
+    h.str(state.s);
     return h.key();
 }
 
@@ -728,7 +686,9 @@ ResultCache::lookup(const ImageKey &k, const Key &key,
                 });
             Record r;
             Dec d(c.body);
-            if (!match || !getRecord(d, r, &x, &ecfg))
+            if (!match || !getRecord(d, r, &x, &ecfg) ||
+                !r.startTiming.pipe.fits(k.units) ||
+                !r.endTiming.pipe.fits(k.units))
                 continue;
             out = std::move(r);
             ++st.hits;
@@ -868,29 +828,30 @@ ResultCache::loadDiskTier()
             continue;
         if (de.path().extension() != ".rc")
             continue;
+        // The header alone settles magic, version and length, so a
+        // file of another format version is rejected unread.
         std::ifstream f(de.path(), std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(f)),
-                          std::istreambuf_iterator<char>());
-        const size_t header = sizeof(kMagic) + 4 + 8;
+        std::string head(kHeaderBytes, '\0');
+        f.read(head.data(), kHeaderBytes);
+        std::error_code sizeEc;
+        const uint64_t size = de.file_size(sizeEc);
         bool rejected = true;
-        if (f && bytes.size() >= header + 8 &&
-            std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
-            Dec d(bytes);
-            d.p += sizeof(kMagic);
-            uint32_t version = d.u32();
-            uint64_t len = d.u64();
-            if (version == diskVersion &&
-                len == bytes.size() - header - 8) {
-                std::string payload = bytes.substr(header, len);
-                Dec tail(bytes);
-                tail.p += header + len;
-                uint64_t sum = tail.u64();
-                if (sum ==
-                        fnv64(payload.data(), payload.size()) &&
-                    adoptPayload(payload)) {
-                    rejected = false;
-                    ++st.diskEntriesLoaded;
-                }
+        Dec h(head);
+        h.p += sizeof(kMagic);
+        const uint32_t version = h.u32();
+        const uint64_t len = h.u64();
+        if (f && !sizeEc &&
+            std::memcmp(head.data(), kMagic, sizeof(kMagic)) == 0 &&
+            version == diskVersion && size >= kHeaderBytes + 8 &&
+            len == size - kHeaderBytes - 8) {
+            std::string payload(len, '\0'), tail(8, '\0');
+            f.read(payload.data(), std::streamsize(len));
+            f.read(tail.data(), 8);
+            Dec t(tail);
+            if (f && t.u64() == fnv64(payload.data(), payload.size()) &&
+                adoptPayload(payload)) {
+                rejected = false;
+                ++st.diskEntriesLoaded;
             }
         }
         if (rejected)

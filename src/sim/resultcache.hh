@@ -16,8 +16,7 @@
  *                  the shard's entry machine state (its checkpoint:
  *                  registers, cursor, memory deltas, warmup pcs —
  *                  or, for a stitch resimulation, the predecessor's
- *                  normalized timing key via
- *                  TimingSim::appendNormalizedKey),
+ *                  end TimingSim::State),
  *                  shard length, last-shard flag)
  *   + manifest = content hashes of the text pages the shard's replay
  *                actually executed (its page-touch bitmap)
@@ -45,9 +44,11 @@
  * checksummed file per entry, loaded on construction) so very long
  * runs survive process restarts. The disk file and the in-memory
  * entry share one encoder and one bounds-checked decoder. Any disk
- * anomaly — short file, bad magic, wrong version, checksum mismatch,
- * malformed payload — rejects that file cleanly and the lookup is
- * treated as cold; a corrupt cache can cost time, never correctness.
+ * anomaly — short file, bad magic, wrong version (read from the
+ * header alone), checksum mismatch, malformed payload — rejects that
+ * file cleanly, and a record whose timing states do not fit the
+ * machine model misses at lookup; a corrupt cache can cost time,
+ * never correctness.
  *
  * The cache is only consulted for the perfect-icache configuration:
  * with Config::useICache the timing state is not self-contained
@@ -123,12 +124,16 @@ class ResultCache
         Key run;   ///< fingerprint + every text and data page
         Key base;  ///< fingerprint + pristine-data identity only
         std::vector<uint64_t> textPageHash;  ///< per 1 KiB text page
+        /** The model's unit count: the row width a cached timing
+         *  state must have to be applied. */
+        unsigned units = 0;
     };
 
     /**
      * One cached timing result. For a shard: exactly the per-shard
-     * record runSharded merges — counter deltas past the warmup, the
-     * stitch-validation keys and handoff state. For a whole run: the
+     * record runSharded merges — counter deltas past the warmup and
+     * the post-warmup and end timing states the stitch compares and
+     * hands off. For a whole run: the
      * merged totals (insts/output are the run's result, perWord its
      * leader retires, endState its final state) plus the four
      * fields only a run has. Wall-clock stats are never cached.
@@ -145,8 +150,7 @@ class ResultCache
         std::string output;
         /** Last shard or sharded run only (empty otherwise). */
         Emulator::ArchSnapshot endState;
-        std::vector<uint64_t> startKey, endKey;
-        TimingSim::State endTiming;
+        TimingSim::State startTiming, endTiming;
 
         int exitCode = -1;
         bool exited = false;
@@ -161,8 +165,8 @@ class ResultCache
      * Build the key context for one run of x. Hashes the machine
      * model, the output-affecting timing/emulator/shard
      * configuration (engine-selection knobs that are proven
-     * output-invariant — dispatch, simdHold, traceMemo — are
-     * deliberately excluded), the pristine data identity, every
+     * output-invariant — dispatch, traceMemo — are deliberately
+     * excluded), the pristine data identity, every
      * text page, and the block-leader bitmap if any.
      */
     ImageKey imageKey(const exe::Executable &x,
@@ -177,11 +181,11 @@ class ResultCache
     Key shardKeyWarm(const ImageKey &k, const Checkpoint *cp,
                      uint64_t len, bool isLast) const;
     /** Key for a stitch resimulation continued from the
-     *  predecessor's exact end state, identified by its normalized
-     *  timing key (equal keys time any future stream identically). */
+     *  predecessor's end timing state (rebased, so equal states time
+     *  any future stream identically). */
     Key shardKeyHandoff(const ImageKey &k, const Checkpoint *cp,
-                        const std::vector<uint64_t> &entryKey,
-                        uint64_t len, bool isLast) const;
+                        const TimingSim::State &entry, uint64_t len,
+                        bool isLast) const;
     /** Key for a whole serial timedRun() of k's image (built with
      *  interval and warmup 0): a flavor of k.run, so a serial record
      *  never answers runSharded's lookup of k.run. */
@@ -190,7 +194,8 @@ class ResultCache
     /**
      * A candidate under key hits iff every page in its manifest
      * still hashes the same in k (a whole-run entry's manifest is
-     * empty) and its record decodes against x. On a hit, out is the
+     * empty), its record decodes against x and its timing states fit
+     * k.units (PipelineState::RebasedPipe::fits). On a hit, out is the
      * exact stored record (endState rebuilt from deltas against x's
      * pristine images sized by ecfg); on a miss out is untouched.
      */
@@ -207,7 +212,7 @@ class ResultCache
     Stats stats() const;
 
     /** Disk format version; bump on any layout change. */
-    static constexpr uint32_t diskVersion = 2;
+    static constexpr uint32_t diskVersion = 3;
 
   private:
     struct KeyHash

@@ -48,7 +48,7 @@ struct ReplaySink final
 };
 
 /** One shard's replay: the cache record (counter deltas past its
- *  warmup, end state, stitch-validation keys) plus what the cache
+ *  warmup, end state, stitch timing states) plus what the cache
  *  never stores. */
 struct ShardOut
 {
@@ -175,7 +175,7 @@ runSharded(const exe::Executable &x,
     // Replay shard k's region. A null handoff starts the timing
     // model cold and warms it on the checkpoint's recorded pc tail
     // (optimistic parallel pass); a non-null handoff continues from
-    // the predecessor's exact end state (stitch resimulation).
+    // the predecessor's end timing state (stitch resimulation).
     auto replayRegion = [&](size_t k, const TimingSim::State *handoff) {
         Emulator emu(x, opts.emu, text);
         // Fresh emulator => pristine images, so the checkpoint's page
@@ -190,7 +190,7 @@ runSharded(const exe::Executable &x,
 
         TimingSim timing(model, opts.timing);
         if (handoff) {
-            timing.restoreState(*handoff);
+            timing.applyState(*handoff);
         } else if (k > 0) {
             // Warmup pcs count as touches: the instructions replayed
             // here come from the current text, so an edit to a page
@@ -203,10 +203,8 @@ runSharded(const exe::Executable &x,
                               exe::Chunk::bytes] = 1;
             }
         }
-        if (validate) {
-            rec.startKey.clear();
-            timing.appendNormalizedKey(rec.startKey);
-        }
+        if (validate)
+            rec.startTiming = timing.captureState();
         // Everything accrued so far belongs to earlier shards; this
         // shard contributes only deltas past the cut.
         const uint64_t warmCycles = timing.cycles();
@@ -245,11 +243,8 @@ runSharded(const exe::Executable &x,
         rec.output = std::move(r.output);
         if (k + 1 == shards)
             rec.endState = emu.snapshot();
-        if (validate) {
-            rec.endTiming = timing.snapshotState();
-            rec.endKey.clear();
-            timing.appendNormalizedKey(rec.endKey);
-        }
+        if (validate)
+            rec.endTiming = timing.captureState();
         timing.flushPipelineMetrics();
     };
     // Shard lookups run up front on the calling thread; only the
@@ -312,29 +307,30 @@ runSharded(const exe::Executable &x,
     // and never converge, no matter how long the warmup. Walking the
     // shards in order, shard 0 is exact by construction (it starts
     // from reset, like the serial run), and shard k is exact iff its
-    // post-warmup state matches its predecessor's exact end state
-    // under the translation-invariant key. A mismatched shard is
-    // replayed from the predecessor's handed-off end state, which
-    // restores the induction — so the merged cycle, stall and
-    // per-reason counters are bit-equal to the serial simulator's
-    // for every interval/warmup setting, while matched shards (the
-    // common case) keep the fully parallel path.
+    // post-warmup timing state matches its predecessor's exact end
+    // state (TimingSim::State::sameTiming: both are rebased to their
+    // frontiers, so different cycle origins still match). A
+    // mismatched shard is replayed from the predecessor's handed-off
+    // end state, which restores the induction — so the merged cycle,
+    // stall and per-reason counters are bit-equal to the serial
+    // simulator's for every interval/warmup setting, while matched
+    // shards (the common case) keep the fully parallel path.
     if (validate && shards > 1) {
         obs::Span span("shard.stitch");
         static obs::Metric mResims("shard.stitch_resims",
                                    obs::MetricKind::Counter);
         for (size_t k = 1; k < shards; ++k) {
             const ResultCache::Record &prev = results[k - 1].rec;
-            if (results[k].rec.startKey == prev.endKey)
+            if (results[k].rec.startTiming.sameTiming(prev.endTiming))
                 continue;
             if (useCache) {
                 // Resimulations get their own cache flavor, keyed on
-                // the predecessor's exact (normalized) end state
-                // instead of the warmup trace — so a warm re-run of a
-                // non-converging stream skips even its stitch work.
+                // the predecessor's end timing state instead of the
+                // warmup trace — so a warm re-run of a non-converging
+                // stream skips even its stitch work.
                 const Checkpoint *cp = &log.checkpoints[k - 1];
                 ResultCache::Key hk = opts.cache->shardKeyHandoff(
-                    ikey, cp, prev.endKey,
+                    ikey, cp, prev.endTiming,
                     shardEnd(k) - shardStart(k), k + 1 == shards);
                 if (opts.cache->lookup(ikey, hk, x, opts.emu,
                                        results[k].rec)) {

@@ -25,14 +25,15 @@
  * instance) phase-locks the chains differently from a cold start
  * and never re-synchronizes, at any warmup length. Exactness
  * therefore comes from a validation stitch instead of a warmup
- * bound: every shard records a translation-invariant key of its
- * post-warmup timing state (TimingSim::appendNormalizedKey) plus
- * its raw end state, and a serial walk over the finished shards
- * re-replays any shard whose start key differs from its
- * predecessor's exact end key, continuing from that predecessor's
- * handed-off state. By induction the merged cycles, stall counts,
- * per-reason stall breakdown and per-block counts equal the serial
- * simulator's bit for bit at every interval/warmup/jobs setting
+ * bound: every shard records its post-warmup and end timing states
+ * (TimingSim::State, rebased to the pipeline frontier, so equal
+ * states time any future stream identically whatever their cycle
+ * origin), and a serial walk over the finished shards re-replays any
+ * shard whose start state differs from its predecessor's end state,
+ * continuing from that end state applied onto a reset pipeline. By
+ * induction the merged cycles, stall counts, per-reason stall
+ * breakdown and per-block counts equal the serial simulator's bit
+ * for bit at every interval/warmup/jobs setting
  * (tests/sim/test_shard.cc asserts it, including on the
  * non-converging instrumented-fpppp stream); mis-warmed shards cost
  * one extra serial region replay each (the `shard.stitch_resims`

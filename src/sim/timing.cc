@@ -59,15 +59,15 @@ TimingSim::TimingSim(const machine::MachineModel &model)
 {}
 
 TimingSim::TimingSim(const machine::MachineModel &model, Config cfg)
-    : model(model), cfg(cfg), state(model, cfg.simdHold),
+    : model(model), cfg(cfg), state(model),
       hist(model.issueWidth() + 2, 0)
 {
     if (this->cfg.takenBranchPenalty == Config::fromModel)
         this->cfg.takenBranchPenalty = model.branchPenalty();
     if (cfg.useICache)
         _icache = std::make_unique<ICache>(cfg.icache);
-    // The icache is deliberately outside the normalized key (its
-    // state is address-history dependent, not translation-invariant),
+    // The icache is deliberately outside State (its state is
+    // address-history dependent, not translation-invariant),
     // so the memo is forced off under it rather than being wrong.
     memoOn = this->cfg.traceMemo && !cfg.useICache;
     if (memoOn) {
@@ -77,36 +77,47 @@ TimingSim::TimingSim(const machine::MachineModel &model, Config cfg)
     }
 }
 
-TimingSim::State
-TimingSim::snapshotState() const
+void
+TimingSim::captureInto(State &out) const
 {
-    sync();
-    return State{state.snapshot(), _cycles,   prevPc, havePrev,
-                 curStart,         curCount, haveCur};
+    const uint64_t f = state.frontier();
+    state.captureRebased(out.pipe);
+    out.cyclesLead = _cycles > f ? _cycles - f : 0;
+    out.prevPc = prevPc;
+    out.havePrev = havePrev;
+    out.curStartLead = haveCur ? f - curStart : 0;
+    out.curCount = haveCur ? curCount : 0;
+    out.haveCur = haveCur;
 }
 
 void
-TimingSim::restoreState(const State &s)
+TimingSim::jumpTo(const State &s, uint64_t frontierDelta)
 {
-    sync();
-    state.restore(s.pipe);
-    _cycles = s.cycles;
+    state.applyRebased(s.pipe, frontierDelta);
+    const uint64_t f = state.frontier();
+    _cycles = f + s.cyclesLead;
     prevPc = s.prevPc;
     havePrev = s.havePrev;
-    curStart = s.curStart;
+    curStart = f - s.curStartLead;
     curCount = s.curCount;
     haveCur = s.haveCur;
 }
 
-void
-TimingSim::appendNormalizedKey(std::vector<uint64_t> &out) const
+TimingSim::State
+TimingSim::captureState() const
 {
     sync();
-    uint64_t f = state.frontier();
-    out.push_back(_cycles > f ? _cycles - f : 0);
-    out.push_back(prevPc);
-    out.push_back(havePrev);
-    state.appendNormalizedKey(out);
+    State s;
+    captureInto(s);
+    return s;
+}
+
+void
+TimingSim::applyState(const State &s)
+{
+    sync();
+    state.reset();
+    jumpTo(s, 0);
 }
 
 void
@@ -118,25 +129,17 @@ TimingSim::flushTrace()
 
     // Entry key: everything that determines what replaying the buffer
     // does. The pc stream (start + discontinuities) fixes the
-    // instruction sequence and intra-trace bubble pattern; the
-    // histogram grouping lead, the cycle accumulator's lead over the
-    // frontier and the fetch-redirect state fix the bookkeeping; the
-    // rebased pipeline capture fixes every stall. All cycle values
-    // are frontier-relative, so recurrences at different absolute
-    // cycles match (appendNormalizedKey's invariant).
+    // instruction sequence and intra-trace bubble pattern; the entry
+    // State fixes every stall and the cycle, fetch-redirect and
+    // histogram bookkeeping. All its cycle values are frontier-
+    // relative, so recurrences at different absolute cycles match.
     const uint64_t f0 = state.frontier();
     keyScratch.clear();
     keyScratch.push_back(bufPcs[0]);
     keyScratch.push_back(n);
     keyScratch.insert(keyScratch.end(), bufJumps.begin(),
                       bufJumps.end());
-    keyScratch.push_back(haveCur ? 1 : 0);
-    keyScratch.push_back(haveCur ? curCount : 0);
-    keyScratch.push_back(haveCur ? f0 - curStart : 0);
-    keyScratch.push_back(_cycles > f0 ? _cycles - f0 : 0);
-    keyScratch.push_back(prevPc);
-    keyScratch.push_back(havePrev ? 1 : 0);
-    state.captureRebased(pipeScratch);
+    captureInto(stateScratch);
 
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
@@ -145,18 +148,23 @@ TimingSim::flushTrace()
     };
     for (uint64_t v : keyScratch)
         mix(v);
-    for (uint64_t v : pipeScratch.rowAt)
+    const State &st = stateScratch;
+    for (uint64_t v : {st.cyclesLead, uint64_t(st.prevPc),
+                       uint64_t(st.havePrev), st.curStartLead,
+                       uint64_t(st.curCount), uint64_t(st.haveCur)})
         mix(v);
-    for (int16_t v : pipeScratch.rowFree)
+    for (uint64_t v : st.pipe.rowAt)
+        mix(v);
+    for (int16_t v : st.pipe.rowFree)
         mix(static_cast<uint16_t>(v));
-    for (uint32_t v : pipeScratch.regs)
+    for (uint32_t v : st.pipe.regs)
         mix(v);
-    for (uint64_t v : pipeScratch.regVals)
+    for (uint64_t v : st.pipe.regVals)
         mix(v);
 
     std::vector<MemoEntry> &bucket = memoTable[h];
     for (const MemoEntry &e : bucket) {
-        if (e.keyHead == keyScratch && e.entryPipe == pipeScratch) {
+        if (e.keyHead == keyScratch && e.entry == stateScratch) {
             applyTrace(e);
             ++memoHits;
             bufPcs.clear();
@@ -179,11 +187,9 @@ TimingSim::flushTrace()
     if (memoEntries < kMemoMaxEntries) {
         MemoEntry e;
         e.keyHead = keyScratch;
-        e.entryPipe = pipeScratch;
-        state.captureRebased(e.endPipe);
+        e.entry = stateScratch;
+        captureInto(e.end);
         e.frontierDelta = state.frontier() - f0;
-        e.endCyclesLead = _cycles - state.frontier();
-        e.endCurStartLead = haveCur ? state.frontier() - curStart : 0;
         e.dInsts = n;
         e.dStalls = _stallCycles - stalls0;
         e.dBreakdown = _breakdown;
@@ -191,9 +197,6 @@ TimingSim::flushTrace()
         e.histDelta.resize(hist.size());
         for (size_t k = 0; k < hist.size(); ++k)
             e.histDelta[k] = hist[k] - histScratch[k];
-        e.endPrevPc = prevPc;
-        e.endCurCount = curCount;
-        e.endHaveCur = haveCur;
         bucket.push_back(std::move(e));
         ++memoEntries;
     }
@@ -205,19 +208,12 @@ TimingSim::flushTrace()
 void
 TimingSim::applyTrace(const MemoEntry &e)
 {
-    state.applyRebased(e.endPipe, e.frontierDelta);
-    const uint64_t f = state.frontier();
-    _cycles = f + e.endCyclesLead;
-    prevPc = e.endPrevPc;
-    havePrev = true;
+    jumpTo(e.end, e.frontierDelta);
     _insts += e.dInsts;
     _stallCycles += e.dStalls;
     _breakdown += e.dBreakdown;
     for (size_t k = 0; k < hist.size(); ++k)
         hist[k] += e.histDelta[k];
-    haveCur = e.endHaveCur;
-    curCount = e.endCurCount;
-    curStart = f - e.endCurStartLead;
 }
 
 void
@@ -234,7 +230,6 @@ TimingSim::flushPipelineMetrics() const
         mMisses.add(memoMisses);
     memoHits = 0;
     memoMisses = 0;
-    state.flushSimdMetrics();
 }
 
 std::vector<uint64_t>

@@ -85,24 +85,17 @@ class TimingSim final : public TraceSink
          *  (stallBreakdown()). Off by default: the attribution
          *  branch stays out of the per-retire hot path. */
         bool collectStalls = false;
-        /** Use the vectorized hold-segment fast path in the pipeline
-         *  state (see PipelineState's constructor). Identical output
-         *  either way; off pins the scalar reference walk, which the
-         *  differential fuzz oracle runs against this engine. */
-        bool simdHold = true;
         /**
          * Memoize the timing of repeated instruction traces. Retires
          * are buffered into short straight-line-biased traces; when a
-         * trace recurs with an identical translation-invariant entry
-         * state (appendNormalizedKey's invariant), its recorded
-         * cycle/stall/histogram deltas are applied instead of
-         * re-issuing every instruction. Exact — the replay path IS
-         * the direct path, and equal normalized states time any
-         * future stream identically — so cycles, stall attribution
-         * and histograms are bit-identical with the memo on or off
-         * (the differential fuzz oracle pins this). Ignored (forced
-         * off) under useICache: cache state is deliberately outside
-         * the normalized key.
+         * trace recurs with an identical entry State (see State), its
+         * recorded cycle/stall/histogram deltas are applied instead
+         * of re-issuing every instruction. Exact — the replay path IS
+         * the direct path, and equal States time any future stream
+         * identically — so cycles, stall attribution and histograms
+         * are bit-identical with the memo on or off (the differential
+         * fuzz oracle pins this). Ignored (forced off) under
+         * useICache: cache state is deliberately outside State.
          */
         bool traceMemo = true;
     };
@@ -280,47 +273,55 @@ class TimingSim final : public TraceSink
     }
 
     /**
-     * Everything a successor needs to continue this stream's timing
-     * exactly: the pipeline hazard history plus the simulator's own
-     * fetch-redirect and cycle-accumulator state. Counters
-     * (instructions, stalls, histogram totals) are deliberately
-     * excluded — callers measure deltas around a restore. Does not
-     * capture icache contents; the sharded stitch pass only runs for
-     * the perfect-cache config.
+     * Everything that determines how this stream's timing continues,
+     * rebased to the pipeline frontier: the pipeline capture
+     * (PipelineState::captureRebased), the cycle accumulator's and
+     * the current issue group's leads over the frontier, and the
+     * fetch-redirect state. Two sims with equal timing parts
+     * (sameTiming) produce identical cycle/stall/breakdown deltas for
+     * any subsequent stream, even from different absolute cycle
+     * origins; the issue-group fields add the issue-width histogram's
+     * grouping. Counters (instructions, stalls, histogram totals) are
+     * deliberately excluded — callers measure deltas. Does not
+     * capture icache contents; the trace memo, the sharded stitch and
+     * the result cache only use it for the perfect-cache config.
      */
     struct State
     {
-        machine::PipelineState::Snapshot pipe;
-        uint64_t cycles = 0;
+        machine::PipelineState::RebasedPipe pipe;
+        uint64_t cyclesLead = 0;    ///< cycles - frontier
         uint32_t prevPc = 0;
         bool havePrev = false;
-        uint64_t curStart = 0;
-        unsigned curCount = 0;
+        uint64_t curStartLead = 0;  ///< frontier - issue group start
+        unsigned curCount = 0;      ///< instructions in that group
         bool haveCur = false;
+
+        bool operator==(const State &) const = default;
+
+        /** Equal in everything but the issue-group fields: what the
+         *  sharded stitch compares (the histogram is documented as
+         *  boundary-approximate under sharding). */
+        bool
+        sameTiming(const State &o) const
+        {
+            return pipe == o.pipe && cyclesLead == o.cyclesLead &&
+                   prevPc == o.prevPc && havePrev == o.havePrev;
+        }
     };
-    State snapshotState() const;
-    /** Continue from s (same machine model and executable image);
-     *  this sim's counters keep their current values. */
-    void restoreState(const State &s);
-
-    /** Fold the pipeline's vectorized-fast-path counters and the
-     *  trace memo's hit/miss counts into the obs metrics registry
-     *  ("simd.hold_blocks", "memo.trace_hits"); run drivers call
-     *  this once per finished run, keeping the hot path free of
-     *  shared-counter traffic. */
-    void flushPipelineMetrics() const;
-
+    State captureState() const;
     /**
-     * Translation-invariant key over the state that determines every
-     * future retire's cycle and stall contribution (pipeline history
-     * rebased to the frontier, the cycle accumulator's lead over it,
-     * and the fetch-redirect state). Equal keys => identical
-     * cycle/stall/breakdown deltas for any subsequent stream, even
-     * from different absolute cycle origins. The issue-width
-     * histogram's grouping state is excluded: it is documented as
-     * boundary-approximate under sharding.
+     * Continue from s (same machine model and executable image) on a
+     * reset pipeline: the frontier restarts at cycle 0, which no
+     * caller observes because every figure a continuation reports is
+     * a delta. This sim's counters keep their current values.
      */
-    void appendNormalizedKey(std::vector<uint64_t> &out) const;
+    void applyState(const State &s);
+
+    /** Fold the trace memo's hit/miss counts into the obs metrics
+     *  registry ("memo.trace_hits", "memo.trace_misses"); run
+     *  drivers call this once per finished run, keeping the hot path
+     *  free of shared-counter traffic. */
+    void flushPipelineMetrics() const;
 
   private:
     const machine::MachineModel &model;
@@ -361,27 +362,28 @@ class TimingSim final : public TraceSink
     // instructions on the steady state.
 
     /**
-     * One recorded trace: the entry key (pc stream + grouping +
-     * normalized timing state) and the deltas replaying it produced.
-     * End-state fields are stored rebased to the end frontier so a
-     * hit at any absolute cycle origin can re-apply them.
+     * One recorded trace: the entry key (pc stream + entry State) and
+     * the deltas replaying it produced. The end State is rebased to
+     * the end frontier, so a hit at any absolute cycle origin can
+     * re-apply it.
      */
     struct MemoEntry
     {
-        std::vector<uint64_t> keyHead;   ///< see flushTrace()
-        machine::PipelineState::RebasedPipe entryPipe;
-        machine::PipelineState::RebasedPipe endPipe;
+        std::vector<uint64_t> keyHead;   ///< pc stream, see flushTrace()
+        State entry;
+        State end;
+        uint64_t frontierDelta = 0;      ///< end - entry frontier
         std::vector<uint64_t> histDelta; ///< per hist bucket
         obs::StallBreakdown dBreakdown;
-        uint64_t frontierDelta = 0;      ///< end - entry frontier
-        uint64_t endCyclesLead = 0;      ///< _cycles - end frontier
-        uint64_t endCurStartLead = 0;    ///< end frontier - curStart
         uint64_t dInsts = 0;
         uint64_t dStalls = 0;
-        uint32_t endPrevPc = 0;
-        unsigned endCurCount = 0;
-        bool endHaveCur = false;
     };
+
+    /** State without a sync (flushTrace() captures mid-flush). */
+    void captureInto(State &out) const;
+    /** Jump the pipeline frontier by frontierDelta and adopt s,
+     *  rebased to the new frontier (PipelineState::applyRebased). */
+    void jumpTo(const State &s, uint64_t frontierDelta);
 
     /** Settle the pending buffer: memo hit applies recorded deltas,
      *  miss replays through issueOne() and records them. */
@@ -396,7 +398,7 @@ class TimingSim final : public TraceSink
     static constexpr size_t kTraceMax = 512;
     /** Recording stops (hits keep working) past this many entries —
      *  a workload diverse enough to blow the cap would mostly miss
-     *  anyway, and entries pin snapshots of pipeline state. */
+     *  anyway, and entries pin captures of pipeline state. */
     static constexpr size_t kMemoMaxEntries = size_t(1) << 14;
 
     bool memoOn = false;  ///< cfg.traceMemo && !cfg.useICache
@@ -411,7 +413,7 @@ class TimingSim final : public TraceSink
     mutable uint64_t memoMisses = 0;
     // flushTrace() scratch, reused to keep the per-trace cost flat.
     std::vector<uint64_t> keyScratch;
-    machine::PipelineState::RebasedPipe pipeScratch;
+    State stateScratch;
     std::vector<uint64_t> histScratch;
 };
 

@@ -24,12 +24,12 @@
  * The same seeds also drive the simulator-engine differential: the
  * direct-threaded and token-switch interpreters must retire the
  * identical architectural trace, and every timing-engine combination
- * (SIMD vs scalar hold checks, trace memo on vs off, either
- * dispatch) must reproduce the portable reference stack's cycles,
- * issue histogram and per-reason stall attribution bit for bit. In a
- * build without the optional engines the fast combos degrade to the
- * reference and the oracle still runs (the `portable` preset does
- * exactly that, keeping the fallback paths honest).
+ * (either dispatch, trace memo on vs off) must reproduce the portable
+ * reference stack's cycles, issue histogram and per-reason stall
+ * attribution bit for bit. In a build without threaded dispatch the
+ * threaded combos degrade to the reference and the oracle still runs
+ * (the `portable` preset does exactly that, keeping the switch
+ * fallback honest).
  */
 
 #include <gtest/gtest.h>
@@ -83,12 +83,10 @@ runImage(const exe::Executable &x, exe::SectionStore *store)
 sim::TimedRun
 timeWithEngines(const exe::Executable &x,
                 const machine::MachineModel &m,
-                sim::Emulator::Config::Dispatch dispatch, bool simd,
-                bool memo)
+                sim::Emulator::Config::Dispatch dispatch, bool memo)
 {
     sim::TimingSim::Config tc;
     tc.collectStalls = true;
-    tc.simdHold = simd;
     tc.traceMemo = memo;
     sim::Emulator::Config ec;
     ec.dispatch = dispatch;
@@ -122,27 +120,24 @@ engineDifferential(const exe::Executable &x,
                                          /*ignoreScratch=*/false));
 
     // Timing-engine differential: the reference is the portable
-    // stack (token-switch dispatch, scalar hold walk, no memo);
-    // every accelerated combination must reproduce it bit for bit —
-    // cycles, issue-width histogram, stall total AND per-reason
-    // attribution.
-    sim::TimedRun ref =
-        timeWithEngines(x, m, Dispatch::Switch, false, false);
+    // stack (token-switch dispatch, no memo); every accelerated
+    // combination must reproduce it bit for bit — cycles, issue-width
+    // histogram, stall total AND per-reason attribution.
+    sim::TimedRun ref = timeWithEngines(x, m, Dispatch::Switch, false);
     EXPECT_EQ(ref.stallBreakdown.total(), ref.stallCycles);
     const struct
     {
         Dispatch d;
-        bool simd, memo;
+        bool memo;
         const char *name;
     } combos[] = {
-        {Dispatch::Threaded, false, false, "threaded"},
-        {Dispatch::Switch, true, false, "simd"},
-        {Dispatch::Switch, false, true, "memo"},
-        {Dispatch::Threaded, true, true, "threaded+simd+memo"},
+        {Dispatch::Threaded, false, "threaded"},
+        {Dispatch::Switch, true, "memo"},
+        {Dispatch::Threaded, true, "threaded+memo"},
     };
     for (const auto &c : combos) {
         SCOPED_TRACE(c.name);
-        sim::TimedRun got = timeWithEngines(x, m, c.d, c.simd, c.memo);
+        sim::TimedRun got = timeWithEngines(x, m, c.d, c.memo);
         EXPECT_EQ(got.cycles, ref.cycles);
         EXPECT_EQ(got.issueHistogram, ref.issueHistogram);
         EXPECT_EQ(got.stallCycles, ref.stallCycles);

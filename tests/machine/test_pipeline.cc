@@ -292,10 +292,11 @@ TEST(StallAttribution, IssueAccumulatesAcrossSequence)
 
 TEST(PipelineSnapshot, RestoreContinuesExactly)
 {
-    // A restored state must be indistinguishable from the original:
-    // issue a prefix, snapshot, issue a suffix twice — once live,
-    // once after restore — and demand identical issue results and
-    // stall attribution.
+    // A capture applied onto a fresh state at a different cycle
+    // origin must be indistinguishable from the original: issue a
+    // prefix, capture, issue a suffix twice — once live, once on the
+    // fresh state — and demand identical stalls, stall attribution
+    // and issue cycles relative to each state's frontier.
     std::vector<isa::Instruction> prefix = {
         b::memi(Op::Ld, 8, 1, 0),
         b::fp3(Op::Fdivd, 4, 0, 2),
@@ -309,31 +310,46 @@ TEST(PipelineSnapshot, RestoreContinuesExactly)
     PipelineState st(ultra());
     for (const auto &in : prefix)
         st.issue(in);
-    PipelineState::Snapshot snap = st.snapshot();
+    PipelineState::RebasedPipe cap;
+    st.captureRebased(cap);
+    ASSERT_FALSE(cap.rowAt.empty());
+    ASSERT_FALSE(cap.regs.empty());
+    const uint64_t origin = st.frontier();
 
     std::vector<PipelineState::IssueResult> live;
     obs::StallBreakdown liveBd;
     for (const auto &in : suffix)
         live.push_back(st.issue(rv(ultra(), in), &liveBd));
 
+    // 1000 cycles later: every live row lands in another ring slot.
     PipelineState st2(ultra());
-    st2.restore(snap);
-    obs::StallBreakdown restoredBd;
+    st2.fetchBubble(1000);
+    st2.applyRebased(cap, 0);
+    const uint64_t origin2 = st2.frontier();
+    ASSERT_NE(origin2, origin);
+    PipelineState::RebasedPipe cap2;
+    st2.captureRebased(cap2);
+    EXPECT_TRUE(cap2 == cap);
+
+    obs::StallBreakdown appliedBd;
     for (size_t i = 0; i < suffix.size(); ++i) {
-        auto r = st2.issue(rv(ultra(), suffix[i]), &restoredBd);
-        EXPECT_EQ(r.startCycle, live[i].startCycle) << i;
-        EXPECT_EQ(r.doneCycle, live[i].doneCycle) << i;
+        auto r = st2.issue(rv(ultra(), suffix[i]), &appliedBd);
+        EXPECT_EQ(r.startCycle - origin2, live[i].startCycle - origin)
+            << i;
+        EXPECT_EQ(r.doneCycle - origin2, live[i].doneCycle - origin)
+            << i;
         EXPECT_EQ(r.stalls, live[i].stalls) << i;
     }
-    EXPECT_TRUE(restoredBd == liveBd);
+    EXPECT_GT(liveBd.total(), 0u);
+    EXPECT_TRUE(appliedBd == liveBd);
 }
 
 TEST(PipelineSnapshot, NormalizedKeyIsTranslationInvariant)
 {
     // The same instruction history issued from two different cycle
     // origins (one pipeline starts with a fetch bubble) must produce
-    // equal normalized keys — that equality is what the sharded
-    // stitch pass uses to accept a warmup-reconstructed state.
+    // equal captures — that equality is what the sharded stitch pass
+    // uses to accept a warmup-reconstructed state.
     std::vector<isa::Instruction> seq = {
         b::memi(Op::Ld, 8, 1, 0),
         b::fp3(Op::Fdivd, 4, 0, 2),
@@ -346,20 +362,21 @@ TEST(PipelineSnapshot, NormalizedKeyIsTranslationInvariant)
         a.issue(in);
         bst.issue(in);
     }
-    std::vector<uint64_t> ka, kb;
-    a.appendNormalizedKey(ka);
-    bst.appendNormalizedKey(kb);
-    EXPECT_EQ(ka, kb);
+    ASSERT_NE(a.frontier(), bst.frontier());
+    PipelineState::RebasedPipe ka, kb;
+    a.captureRebased(ka);
+    bst.captureRebased(kb);
+    EXPECT_TRUE(ka == kb);
 
     // And a genuinely different history must not collide: the
-    // divide's pending write keeps its key distinct.
+    // divide's pending write keeps its capture distinct.
     PipelineState c(ultra());
     for (const auto &in : seq)
         c.issue(in);
     c.issue(b::fp3(Op::Fdivd, 12, 6, 2));
-    std::vector<uint64_t> kc;
-    c.appendNormalizedKey(kc);
-    EXPECT_NE(ka, kc);
+    PipelineState::RebasedPipe kc;
+    c.captureRebased(kc);
+    EXPECT_FALSE(ka == kc);
 }
 
 TEST(PipelineStalls, QptSnippetLatency)

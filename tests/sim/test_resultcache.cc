@@ -459,8 +459,10 @@ TEST(ResultCache, MalformedPayloadsWithValidChecksumsRejected)
 
     // Every damaged file passes the length and checksum checks, so
     // only the bounds-checked decoder can reject it: a truncated
-    // payload at many cut points, a trailing byte, and a version-1
-    // file (the three-tier layout).
+    // payload at many cut points and a trailing byte. Plus files of
+    // older format versions, rejected from their header alone: a
+    // version-1 file (the three-tier layout) and a version-2 file
+    // (dense timing states and normalized keys).
     fs::create_directories(dir);
     size_t damaged = 0;
     auto put = [&](const std::string &file) {
@@ -474,6 +476,7 @@ TEST(ResultCache, MalformedPayloadsWithValidChecksumsRejected)
         put(entryFile(payload.substr(0, cut)));
     put(entryFile(payload + '\0'));
     put(entryFile(payload, 1));
+    put(entryFile(payload, 2));
     std::ofstream(dir / "intact.rc", std::ios::binary) << bytes;
 
     ResultCache reborn({dir.string(), nullptr});
@@ -503,6 +506,66 @@ TEST(ResultCache, EndStateOverrunningTheImagesMisses)
     ASSERT_TRUE(cache.lookup(ik, key, f.x, big, out));
     EXPECT_EQ(out.endState.stackMem, rec.endState.stackMem);
     EXPECT_FALSE(cache.lookup(ik, key, f.x, {}, out));
+}
+
+TEST(ResultCache, TimingStateNotFittingTheModelMisses)
+{
+    // A timing state the stitch handoff could not apply to this
+    // model's pipeline (as a hostile entry file could hold) misses
+    // cleanly, in either the start or the end slot of a record.
+    Fixture f;
+    TimingSim timing(f.model);
+    Emulator emu(f.x);
+    emu.run(timing, 5000);
+    const TimingSim::State good = timing.captureState();
+    ASSERT_FALSE(good.pipe.rowAt.empty());
+    ASSERT_FALSE(good.pipe.regs.empty());
+
+    // Stores rec under a fresh cache and reports whether it hits.
+    auto hits = [&](const ResultCache::Record &rec) {
+        ResultCache cache;
+        ResultCache::ImageKey ik =
+            cache.imageKey(f.x, f.model, {}, {}, 0, 0, nullptr);
+        const ResultCache::Key key = cache.serialRunKey(ik);
+        cache.store(ik, key, {}, rec, f.x);
+        ResultCache::Record out;
+        const bool hit = cache.lookup(ik, key, f.x, {}, out);
+        EXPECT_EQ(cache.stats().misses, hit ? 0u : 1u);
+        if (hit) {
+            EXPECT_TRUE(out.startTiming == rec.startTiming);
+            EXPECT_TRUE(out.endTiming == rec.endTiming);
+        }
+        return hit;
+    };
+    ResultCache::Record rec;
+    rec.startTiming = good;
+    rec.endTiming = good;
+    EXPECT_TRUE(hits(rec));
+
+    const struct
+    {
+        const char *name;
+        void (*damage)(TimingSim::State &);
+    } cases[] = {
+        {"register id past numRegIds",
+         [](TimingSim::State &s) {
+             s.pipe.regs.back() = isa::numRegIds;
+         }},
+        {"register values not 3 per register",
+         [](TimingSim::State &s) { s.pipe.regVals.pop_back(); }},
+        {"row free counts not one per unit",
+         [](TimingSim::State &s) { s.pipe.rowFree.push_back(1); }},
+        {"row offset past the unit ring",
+         [](TimingSim::State &s) { s.pipe.rowAt.back() = 256; }},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        ResultCache::Record start = rec, end = rec;
+        c.damage(start.startTiming);
+        c.damage(end.endTiming);
+        EXPECT_FALSE(hits(start));
+        EXPECT_FALSE(hits(end));
+    }
 }
 
 TEST(ResultCache, SerialRunRoundtripsThroughDisk)
